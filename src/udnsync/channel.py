@@ -1,16 +1,10 @@
-"""Fading samplers, path-loss, and noise power."""
+"""Fading samplers and noise power."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from udnsync.config import FadingSpec, SimConfig
-
-
-class ChannelError(ValueError):
-    pass
+from udnsync.config import FadingSpec, SimConfig, dbm_to_watts
 
 
 def sample_gain(fading: FadingSpec, rng: np.random.Generator, size=None):
@@ -27,32 +21,9 @@ def sample_gain(fading: FadingSpec, rng: np.random.Generator, size=None):
     return rng.gamma(fading.param, 1.0 / fading.param, size=size)
 
 
-def received_power(p_t: float, gain, dist, alpha: float):
-    """p_t * gain * dist^-alpha; rejects non-positive distances."""
-    if np.any(np.asarray(dist) <= 0):
-        raise ChannelError("distance must be > 0")
-    return p_t * gain * np.asarray(dist, dtype=float) ** (-alpha)
-
-
 def noise_power(config: SimConfig) -> float:
     """Thermal noise power over one sub-band's bandwidth, in watts."""
-    from udnsync.config import dbm_to_watts
-
     return dbm_to_watts(config.noise_density_dbm_hz) * config.subband_bandwidth_hz
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One drawing of all small-scale fading gains.
-
-    interference_gains: (K, K) power gains for the consensus graph,
-    diagonal unused. link_gains: (T, N, 2) power gains of each triplet's
-    (strong, weak) receiver on each sub-band; gains are independent per
-    sub-band (frequency diversity).
-    """
-
-    interference_gains: np.ndarray
-    link_gains: np.ndarray
 
 
 def sample_interference_gains(config: SimConfig,
@@ -65,11 +36,3 @@ def sample_link_gains(config: SimConfig, num_triplets: int,
                       rng: np.random.Generator) -> np.ndarray:
     return sample_gain(config.fading, rng,
                        size=(num_triplets, config.num_subbands, 2))
-
-
-def sample_channel(config: SimConfig, num_triplets: int,
-                   rng: np.random.Generator) -> ChannelRealization:
-    return ChannelRealization(
-        interference_gains=sample_interference_gains(config, rng),
-        link_gains=sample_link_gains(config, num_triplets, rng),
-    )

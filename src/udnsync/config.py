@@ -121,7 +121,6 @@ class SimConfig:
         return cfg
 
 
-_BOOL_KEYS = frozenset()
 _INT_KEYS = {
     "num_nodes", "num_subbands", "max_iters", "max_snapshots",
     "swap_max_iters", "rng_seed",

@@ -10,7 +10,6 @@ Isolated nodes keep an all-zero row and simply hold their clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,16 +31,6 @@ class InterferenceGraph:
     @property
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.in_mask[i])
-
-    def out_neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.in_mask[:, i])
-
-    @property
-    def out_mask(self) -> np.ndarray:
-        return self.in_mask.T
 
 
 def graph_from_powers(power: np.ndarray, p0: float) -> InterferenceGraph:
@@ -81,15 +70,3 @@ def connectivity_factor(graph: InterferenceGraph) -> float:
         raise GraphError("connectivity factor needs K >= 2")
     num_edges = int(graph.in_mask.sum())
     return 2.0 * num_edges / (k * (k - 1))
-
-
-def dump_edge_list(graph: InterferenceGraph, path) -> None:
-    """Write '(i, j, weight)' lines for every incoming edge, for debugging."""
-    lines = []
-    k = graph.num_nodes
-    for i in range(k):
-        for j in range(k):
-            if graph.in_mask[i, j]:
-                lines.append(f"{i}\t{j}\t{graph.adjacency[i, j]:.12g}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,18 +53,16 @@ class ExperimentSpec:
         self.base_config.validate()
 
     def config_at(self, value) -> SimConfig:
-        if self.swept_parameter == "fading_mean":
-            cfg = replace(self.base_config,
-                          fading=FadingSpec("rayleigh", float(value)))
-        elif self.swept_parameter == "nakagami_m":
-            cfg = replace(self.base_config,
-                          fading=FadingSpec("nakagami", float(value)))
-        elif self.swept_parameter in ("num_nodes", "num_subbands"):
-            cfg = replace(self.base_config, **{self.swept_parameter: int(value)})
+        name = self.swept_parameter
+        if name == "fading_mean":
+            overrides = {"fading": FadingSpec("rayleigh", float(value))}
+        elif name == "nakagami_m":
+            overrides = {"fading": FadingSpec("nakagami", float(value))}
+        elif name in ("num_nodes", "num_subbands"):
+            overrides = {name: int(value)}
         else:
-            cfg = replace(self.base_config, **{self.swept_parameter: float(value)})
-        cfg.validate()
-        return cfg
+            overrides = {name: float(value)}
+        return self.base_config.with_overrides(**overrides)
 
 
 @dataclass
@@ -182,13 +180,12 @@ def read_csv(path) -> list[ResultRow]:
 # scenario presets (desk-scale shrink of the full-size reference setup)
 
 
-def _desk(config: SimConfig, **overrides) -> SimConfig:
-    base = dict(num_nodes=60, max_snapshots=3, max_iters=300,
-                noise_density_dbm_hz=-114.0)
-    base.update(overrides)
-    cfg = replace(config, **base)
-    cfg.validate()
-    return cfg
+# Network size, consensus budget and noise density per scale. A preset's own
+# overrides are applied after these, because they define the experiment.
+_DESK_SCALE = dict(num_nodes=60, max_snapshots=3, max_iters=300,
+                   noise_density_dbm_hz=-114.0)
+_FULL_SCALE = dict(num_nodes=250, max_snapshots=100, max_iters=20000,
+                   noise_density_dbm_hz=-114.0)
 
 
 def preset(name: str, base: SimConfig, replications: int = 50,
@@ -200,33 +197,28 @@ def preset(name: str, base: SimConfig, replications: int = 50,
     fig6: Rayleigh mean-gain sweep; fig7: Nakagami shape sweep;
     fig8: sub-band sweep sized for swap-iteration statistics.
     """
-    if full_scale:
-        scale = dict(num_nodes=250, max_snapshots=100, max_iters=20000,
-                     noise_density_dbm_hz=-114.0)
-    else:
-        scale = {}
+    scale = _FULL_SCALE if full_scale else _DESK_SCALE
+
+    def config(**own) -> SimConfig:
+        return base.with_overrides(**{**scale, **own})
+
     if name == "fig4":
-        cfg = _desk(base, max_snapshots=1, **scale)
         return ExperimentSpec(name, "power_threshold_dbm",
                               (-100.0, -90.0, -80.0, -70.0, -60.0),
-                              replications, cfg)
+                              replications, config(max_snapshots=1))
     if name == "fig5":
-        cfg = _desk(base, num_nodes=90, **scale)
         return ExperimentSpec(name, "num_subbands", (5, 10, 15),
-                              replications, cfg)
+                              replications, config(num_nodes=90))
     if name == "fig6":
-        cfg = _desk(base, **scale)
         return ExperimentSpec(name, "fading_mean", (0.5, 1.0, 2.0, 4.0),
-                              replications, cfg)
+                              replications, config())
     if name == "fig7":
         # the shape-parameter effect on the gain is clearest at low SNR
-        cfg = _desk(base, noise_density_dbm_hz=-134.0, **scale)
         return ExperimentSpec(name, "nakagami_m", (1.0, 3.0),
-                              replications, cfg)
+                              replications, config(noise_density_dbm_hz=-134.0))
     if name == "fig8":
-        cfg = _desk(base, num_nodes=36, **scale)
         return ExperimentSpec(name, "num_subbands", (2, 3, 4),
-                              replications, cfg)
+                              replications, config(num_nodes=36))
     raise HarnessError(f"unknown preset {name!r}")
 
 

@@ -25,6 +25,8 @@ import numpy as np
 
 from udnsync.channel import noise_power, sample_link_gains
 from udnsync.config import SimConfig, alpha_grid
+from udnsync.noma import (RoundLinks, noma_leg_times, noma_times,
+                          oma_leg_times, oma_times)
 from udnsync.topology import Topology
 
 
@@ -34,32 +36,6 @@ class SchedulerError(ValueError):
 
 # ---------------------------------------------------------------------------
 # link tables
-
-
-@dataclass(frozen=True)
-class RoundLinks:
-    """Effective (path loss folded) power gains of triplets on sub-bands."""
-
-    gain_strong: np.ndarray  # (T, N)
-    gain_weak: np.ndarray    # (T, N)
-    tx_power_w: float
-    noise_w: float
-    bandwidth_hz: float
-    payload_bits: float
-
-    @property
-    def num_triplets(self) -> int:
-        return self.gain_strong.shape[0]
-
-    @property
-    def num_subbands(self) -> int:
-        return self.gain_strong.shape[1]
-
-    def subset(self, triplet_idx) -> "RoundLinks":
-        return RoundLinks(self.gain_strong[triplet_idx],
-                          self.gain_weak[triplet_idx],
-                          self.tx_power_w, self.noise_w,
-                          self.bandwidth_hz, self.payload_bits)
 
 
 def build_links(topology: Topology, config: SimConfig,
@@ -89,48 +65,6 @@ def build_links(topology: Topology, config: SimConfig,
     )
 
 
-def noma_leg_times(links: RoundLinks, alpha_strong: float):
-    """(t_strong, t_weak) matrices for one common power split."""
-    a_i, a_j = alpha_strong, 1.0 - alpha_strong
-    p, s2, b, l = (links.tx_power_w, links.noise_w,
-                   links.bandwidth_hz, links.payload_bits)
-    gs, gw = links.gain_strong, links.gain_weak
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_strong = b * np.log2(1.0 + gs * a_i * p / (gs * a_j * p + s2))
-        r_weak = b * np.log2(1.0 + gw * a_j * p / s2)
-        r_alone = b * np.log2(1.0 + gs * a_i * p / s2)
-        t_weak = np.where(r_weak > 0, l / r_weak, np.inf)
-        direct = np.where(r_strong > 0, l / r_strong, np.inf)
-        residual = np.where(r_alone > 0,
-                            t_weak + (l - r_strong * t_weak) / r_alone, np.inf)
-        t_strong = np.where(direct <= t_weak, direct, residual)
-    t_strong = np.where(np.isfinite(t_strong), t_strong, np.inf)
-    t_weak = np.where(np.isfinite(t_weak), t_weak, np.inf)
-    return t_strong, t_weak
-
-
-def noma_times(links: RoundLinks, alpha_strong: float) -> np.ndarray:
-    t_strong, t_weak = noma_leg_times(links, alpha_strong)
-    return np.maximum(t_strong, t_weak)
-
-
-def oma_leg_times(links: RoundLinks):
-    """Equal-share orthogonal legs at full power, per (triplet, sub-band)."""
-    p, s2, b, l = (links.tx_power_w, links.noise_w,
-                   links.bandwidth_hz, links.payload_bits)
-    with np.errstate(divide="ignore"):
-        r_strong = b * np.log2(1.0 + links.gain_strong * p / s2)
-        r_weak = b * np.log2(1.0 + links.gain_weak * p / s2)
-        t_strong = np.where(r_strong > 0, 2.0 * l / r_strong, np.inf)
-        t_weak = np.where(r_weak > 0, 2.0 * l / r_weak, np.inf)
-    return t_strong, t_weak
-
-
-def oma_times(links: RoundLinks) -> np.ndarray:
-    t_strong, t_weak = oma_leg_times(links)
-    return np.maximum(t_strong, t_weak)
-
-
 # ---------------------------------------------------------------------------
 # matching
 
@@ -140,7 +74,6 @@ class Assignment:
     """Partial one-to-one map sub-band -> triplet."""
 
     sb_to_triplet: dict[int, int] = field(default_factory=dict)
-    round_index: int = 0
 
     def triplet_to_sb(self) -> dict[int, int]:
         return {t: s for s, t in self.sb_to_triplet.items()}
@@ -223,7 +156,6 @@ class SwapStats:
     iterations: int = 0
     accepted_swaps: int = 0
     candidate_swaps_per_iteration: list[int] = field(default_factory=list)
-    candidate_relocations_per_iteration: list[int] = field(default_factory=list)
 
 
 def swap_matching_round(assignment: Assignment, times: np.ndarray,
@@ -244,7 +176,7 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
             if s not in assignment.sb_to_triplet]
     current_max = assignment.max_time(times)
     best = None  # (resulting_max, new_mapping)
-    n_swaps = n_relocs = 0
+    n_swaps = 0
 
     for a in range(len(matched)):
         s1, t1 = matched[a]
@@ -266,7 +198,6 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
                 best = (result, mapping)
     for s1, t1 in matched:
         for s_idle in idle:
-            n_relocs += 1
             others = max((times[t, s] for s, t in matched if t != t1),
                          default=0.0)
             result = max(others, float(times[t1, s_idle]))
@@ -282,14 +213,12 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
     if stats is not None:
         stats.iterations += 1
         stats.candidate_swaps_per_iteration.append(n_swaps)
-        stats.candidate_relocations_per_iteration.append(n_relocs)
     if best is None:
         return assignment
     if stats is not None:
         stats.accepted_swaps += 1
     assert best[0] <= current_max + 0.0  # utility never degrades
-    new = Assignment(sb_to_triplet=dict(sorted(best[1].items())),
-                     round_index=assignment.round_index)
+    new = Assignment(sb_to_triplet=dict(sorted(best[1].items())))
     new.check()
     return new
 
@@ -457,12 +386,9 @@ def schedule_exchange(topology: Topology, config: SimConfig,
 
     noma_outcome = ScheduleOutcome()
     oma_outcome = ScheduleOutcome()
-    for i, ids in enumerate(rounds):
-        rnd = grid_search_alpha(links.subset(ids), config, triplet_ids=ids)
-        rnd.assignment.round_index = i
-        noma_outcome.rounds.append(rnd)
-        rnd_oma = _oma_round(links.subset(ids), config, ids)
-        rnd_oma.assignment.round_index = i
-        oma_outcome.rounds.append(rnd_oma)
+    for ids in rounds:
+        noma_outcome.rounds.append(
+            grid_search_alpha(links.subset(ids), config, triplet_ids=ids))
+        oma_outcome.rounds.append(_oma_round(links.subset(ids), config, ids))
 
     return noma_outcome, oma_outcome

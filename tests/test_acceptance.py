@@ -20,13 +20,14 @@ from udnsync.config import FadingSpec, SimConfig
 from udnsync.consensus import run_sync, timing_sd, update_proposed
 from udnsync.graph import build_graph
 from udnsync.harness import ExperimentSpec, run_experiment
-from udnsync.noma import (PairLink, pair_completion_noma, rate, sinr_strong,
-                          sinr_strong_alone, sinr_weak)
+from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
+                          oma_times, rate, sinr_strong, sinr_strong_alone,
+                          sinr_weak)
 from udnsync.scheduler import (Assignment, _partition_rounds, build_links,
                                build_preferences, grid_search_alpha,
-                               has_blocking_pair, noma_times, oma_times,
-                               schedule_exchange, stable_marriage,
-                               swap_matching_round, swap_until_stable)
+                               has_blocking_pair, schedule_exchange,
+                               stable_marriage, swap_matching_round,
+                               swap_until_stable)
 from udnsync.topology import init_clocks, place_nodes
 
 
@@ -420,14 +421,24 @@ def _bit_accumulation_time(link: PairLink, tol=1e-13) -> float:
     return hi
 
 
+def _kernel_legs(link: PairLink) -> tuple[float, float]:
+    """(t_strong, t_weak) of one link from the scheduler's vectorized kernel."""
+    links = RoundLinks(np.array([[link.gain_strong]]),
+                       np.array([[link.gain_weak]]), link.tx_power_w,
+                       link.noise_w, link.bandwidth_hz, link.payload_bits)
+    t_strong, t_weak = noma_leg_times(links, link.alpha_strong)
+    return float(t_strong[0, 0]), float(t_weak[0, 0])
+
+
 def test_criterion_10_completion_kernel_matches_oracle():
-    # 10,000 random links to 1e-9 relative, plus branch continuity at
-    # the strong-leg crossing to 1e-9.
+    # The kernel the scheduler runs (noma_leg_times), on 10,000 random
+    # links to 1e-9 relative, plus branch continuity at the strong-leg
+    # crossing to 1e-9.
     rng = np.random.default_rng(1010)
     worst = 0.0
     for _ in range(10000):
         link = _random_pair_link(rng)
-        closed = pair_completion_noma(link).t_strong
+        closed, _ = _kernel_legs(link)
         oracle = _bit_accumulation_time(link)
         worst = max(worst, abs(closed - oracle) / oracle)
 
@@ -454,9 +465,8 @@ def test_criterion_10_completion_kernel_matches_oracle():
                 hi = mid
             else:
                 lo = mid
-        times = pair_completion_noma(at(mid))
-        worst_gap = max(worst_gap,
-                        abs(times.t_strong - times.t_weak) / times.t_weak)
+        t_strong, t_weak = _kernel_legs(at(mid))
+        worst_gap = max(worst_gap, abs(t_strong - t_weak) / t_weak)
         crossings += 1
 
     ok = worst < 1e-9 and crossings > 50 and worst_gap < 1e-9

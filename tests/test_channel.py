@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from udnsync.channel import (ChannelError, noise_power, received_power,
-                             sample_channel, sample_gain)
+from conftest import grid_topology
+from udnsync.channel import (noise_power, sample_gain,
+                             sample_interference_gains, sample_link_gains)
 from udnsync.config import FadingSpec, SimConfig
+from udnsync.graph import build_graph
 
 
 def test_rayleigh_power_gain_moments(rng):
@@ -32,21 +34,23 @@ def test_nakagami_m1_matches_rayleigh_distribution(rng):
                        np.quantile(b, [0.25, 0.5, 0.9]), rtol=0.05)
 
 
+def two_node_power(p_t, gain, dist, alpha):
+    """Power node 1 receives from node 0 in a two-node graph."""
+    topo = grid_topology(2, spacing=dist, jitter=0.0)
+    gains = np.full((2, 2), gain)
+    return build_graph(p_t, topo, gains, 0.0, alpha).power_matrix[1, 0]
+
+
 def test_received_power_frozen_value():
     # 23 dBm, unit gain, 10 m, exponent 4 -> 0.19952623 * 1e-4 W
-    p = received_power(SimConfig().tx_power_w, 1.0, 10.0, 4.0)
+    p = two_node_power(SimConfig().tx_power_w, 1.0, 10.0, 4.0)
     assert p == pytest.approx(1.9952623e-05, rel=1e-6)
 
 
 def test_received_power_scaling_law():
-    assert received_power(1.0, 1.0, 2.0, 4.0) == pytest.approx(2.0 ** -4)
-    assert (received_power(1.0, 1.0, 20.0, 4.0)
-            / received_power(1.0, 1.0, 10.0, 4.0)) == pytest.approx(1 / 16)
-
-
-def test_received_power_rejects_nonpositive_distance():
-    with pytest.raises(ChannelError):
-        received_power(1.0, 1.0, 0.0, 4.0)
+    assert two_node_power(1.0, 1.0, 2.0, 4.0) == pytest.approx(2.0 ** -4)
+    assert (two_node_power(1.0, 1.0, 20.0, 4.0)
+            / two_node_power(1.0, 1.0, 10.0, 4.0)) == pytest.approx(1 / 16)
 
 
 def test_noise_power_frozen_value():
@@ -64,7 +68,7 @@ def test_noise_power_scales_with_subband_width():
 
 def test_sample_channel_shapes(rng):
     cfg = SimConfig(num_nodes=12, num_subbands=4)
-    ch = sample_channel(cfg, 4, rng)
-    assert ch.interference_gains.shape == (12, 12)
-    assert ch.link_gains.shape == (4, 4, 2)
-    assert np.all(ch.link_gains > 0)
+    assert sample_interference_gains(cfg, rng).shape == (12, 12)
+    link_gains = sample_link_gains(cfg, 4, rng)
+    assert link_gains.shape == (4, 4, 2)
+    assert np.all(link_gains > 0)

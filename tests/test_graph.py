@@ -7,7 +7,7 @@ from conftest import grid_topology
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
 from udnsync.graph import (GraphError, build_graph, connectivity_factor,
-                           dump_edge_list, graph_from_powers)
+                           graph_from_powers)
 
 
 HAND_POWERS = np.array([
@@ -25,9 +25,9 @@ def test_hand_example_adjacency():
         [0.0, 1.0, 0.0],
     ])
     assert np.allclose(g.adjacency, expected)
-    assert g.in_neighbors(0).tolist() == [1]
-    assert g.in_neighbors(1).tolist() == [0, 2]
-    assert g.out_neighbors(2).tolist() == [1]
+    assert np.flatnonzero(g.in_mask[0]).tolist() == [1]      # in-neighbors
+    assert np.flatnonzero(g.in_mask[1]).tolist() == [0, 2]
+    assert np.flatnonzero(g.in_mask[:, 2]).tolist() == [1]   # out-neighbors
 
 
 def test_threshold_is_inclusive():
@@ -80,14 +80,3 @@ def test_gain_shape_mismatch_rejected(rng):
     topo = grid_topology(5, rng=rng)
     with pytest.raises(GraphError):
         build_graph(1.0, topo, np.ones((4, 4)), 0.0)
-
-
-def test_dump_edge_list(tmp_path):
-    g = graph_from_powers(HAND_POWERS, p0=2.0)
-    out = tmp_path / "edges.tsv"
-    dump_edge_list(g, out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4
-    i, j, w = lines[0].split("\t")
-    assert (int(i), int(j)) == (0, 1)
-    assert float(w) == 1.0

@@ -1,13 +1,13 @@
 """Experiment driver, CSV/SVG artifacts, and the command line."""
 
+import csv
 import math
-import os
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from udnsync.cli import main
-from udnsync.config import SimConfig
+from udnsync.config import FadingSpec, SimConfig
 from udnsync.harness import (CSV_COLUMNS, ExperimentSpec, HarnessError,
                              PRESETS, ResultRow, emit_csv, preset, read_csv,
                              run_experiment)
@@ -154,12 +154,74 @@ def test_plot_deterministic(tmp_path):
 
 def test_presets_build_valid_specs():
     base = SimConfig()
-    for name in PRESETS:
-        spec = preset(name, base, replications=2)
-        spec.validate()
-        assert len(spec.sweep_values) >= 2
+    for full_scale in (False, True):
+        for name in PRESETS:
+            spec = preset(name, base, replications=2, full_scale=full_scale)
+            spec.validate()
+            assert len(spec.sweep_values) >= 2
     with pytest.raises(HarnessError):
         preset("fig99", base)
+
+
+# Each preset's layout. The desk layouts and full-scale fig6 are as first
+# recorded: a change to any of them changes what an experiment measures
+# and must be labelled as such. The other full-scale layouts follow the
+# precedence rule: a preset's own settings win over the scale's.
+DESK = dict(max_snapshots=3, max_iters=300, noise_density_dbm_hz=-114.0)
+FULL = dict(num_nodes=250, max_snapshots=100, max_iters=20000,
+            noise_density_dbm_hz=-114.0)
+RECORDED_PRESETS = {
+    ("fig4", False): ("power_threshold_dbm",
+                      (-100.0, -90.0, -80.0, -70.0, -60.0),
+                      dict(DESK, max_snapshots=1)),
+    ("fig5", False): ("num_subbands", (5, 10, 15), dict(DESK, num_nodes=90)),
+    ("fig6", False): ("fading_mean", (0.5, 1.0, 2.0, 4.0), DESK),
+    ("fig7", False): ("nakagami_m", (1.0, 3.0),
+                      dict(DESK, noise_density_dbm_hz=-134.0)),
+    ("fig8", False): ("num_subbands", (2, 3, 4), dict(DESK, num_nodes=36)),
+    ("fig4", True): ("power_threshold_dbm",
+                     (-100.0, -90.0, -80.0, -70.0, -60.0),
+                     dict(FULL, max_snapshots=1)),
+    ("fig5", True): ("num_subbands", (5, 10, 15), dict(FULL, num_nodes=90)),
+    ("fig6", True): ("fading_mean", (0.5, 1.0, 2.0, 4.0), FULL),
+    ("fig7", True): ("nakagami_m", (1.0, 3.0),
+                     dict(FULL, noise_density_dbm_hz=-134.0)),
+    ("fig8", True): ("num_subbands", (2, 3, 4), dict(FULL, num_nodes=36)),
+}
+
+
+def test_preset_specs_match_recorded_layouts():
+    base = SimConfig(rng_seed=3, fading=FadingSpec("nakagami", 2.0))
+    for (name, full_scale), (param, values, overrides) in \
+            RECORDED_PRESETS.items():
+        spec = preset(name, base, replications=4, full_scale=full_scale)
+        assert spec == ExperimentSpec(name, param, values, 4,
+                                      SimConfig(rng_seed=3, fading=base.fading,
+                                                **overrides))
+
+
+GOLDEN_FIG8 = Path(__file__).parent / "data" / "fig8_desk_seed7.csv"
+
+
+def test_golden_fig8_csv(tmp_path):
+    # Desk fig8, seed 7, one replication, as first recorded. Floats are
+    # compared at 1e-12 relative, not as bytes, because SIMD log2/pow may
+    # differ in the last ulp between CPUs; anything that shifts the RNG
+    # stream or the formulas moves them far more than that.
+    out = tmp_path / "fig8.csv"
+    emit_csv(run_experiment(preset("fig8", SimConfig(rng_seed=7),
+                                   replications=1)), out)
+    with open(GOLDEN_FIG8, newline="", encoding="utf-8") as fh:
+        expected = list(csv.DictReader(fh))
+    with open(out, newline="", encoding="utf-8") as fh:
+        got = list(csv.DictReader(fh))
+    assert len(got) == len(expected) == 3
+    for row, ref in zip(got, expected):
+        assert list(row) == list(ref)
+        assert row["error"] == ref["error"]
+        for col in CSV_COLUMNS[:-1]:
+            assert float(row[col]) == pytest.approx(float(ref[col]),
+                                                    rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ import pytest
 from conftest import grid_topology, small_config
 from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig
-from udnsync.noma import PairLink, pair_completion_noma, pair_completion_oma
-from udnsync.scheduler import (Assignment, RoundLinks, SchedulerError,
-                               build_links, build_preferences,
-                               grid_search_alpha, has_blocking_pair,
-                               noma_leg_times, noma_times, oma_leg_times,
-                               oma_times, schedule_exchange, stable_marriage,
-                               swap_matching_round, swap_until_stable,
-                               SwapStats)
+from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
+                          oma_leg_times, pair_completion_noma,
+                          pair_completion_oma)
+from udnsync.scheduler import (Assignment, SchedulerError, build_links,
+                               build_preferences, grid_search_alpha,
+                               has_blocking_pair, schedule_exchange,
+                               stable_marriage, swap_matching_round,
+                               swap_until_stable, SwapStats)
 from udnsync.topology import Topology, place_nodes
 
 
