@@ -128,6 +128,14 @@ _INT_KEYS = {
 _SPECIAL_KEYS = {"fading_kind", "fading_param", "temp_low_c", "temp_high_c"}
 
 
+def _number(kind, key: str, val: str, lineno: int):
+    try:
+        return kind(val)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {key} must be {kind.__name__}, "
+                          f"got {val!r}") from None
+
+
 def parse_config_text(text: str) -> SimConfig:
     """Parse a plain-text ``key = value`` scenario file into a SimConfig.
 
@@ -150,13 +158,14 @@ def parse_config_text(text: str) -> SimConfig:
         if key == "fading_kind":
             fading_kind = val
         elif key == "fading_param":
-            fading_param = float(val)
+            fading_param = _number(float, key, val, lineno)
         elif key == "temp_low_c":
-            temp_low = float(val)
+            temp_low = _number(float, key, val, lineno)
         elif key == "temp_high_c":
-            temp_high = float(val)
+            temp_high = _number(float, key, val, lineno)
         elif key in known:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            kind = int if key in _INT_KEYS else float
+            values[key] = _number(kind, key, val, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     cfg = SimConfig(**values)  # type: ignore[arg-type]

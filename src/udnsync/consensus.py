@@ -148,6 +148,8 @@ def run_snapshot(state: ClockState, config: SimConfig, topology: "Topology",
 
     if config.max_iters < 1:
         raise ConsensusError("no iteration budget")
+    if rule not in ("proposed", "baseline"):
+        raise ConsensusError(f"unknown update rule {rule!r}")
     update = update_proposed if rule == "proposed" else update_baseline
     sds = []
     graph = None

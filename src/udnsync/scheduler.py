@@ -1,18 +1,22 @@
 """SBS-to-sub-band scheduling for the information-exchange phase.
 
 Per scheduling round, triplets are matched one-to-one onto sub-bands by
-triplet-proposing deferred acceptance, then locally improved by Pareto
-swaps: two matched triplets may exchange sub-bands when neither's
-completion time worsens and at least one strictly improves; a matched
-triplet may also relocate to an idle sub-band when that strictly helps
-it. Because sub-bands are orthogonal and the co-receiver coupling is
-internal to each triplet, untouched triplets are unaffected by a swap.
+the stable matching, then locally improved by Pareto swaps. The stable
+matching is unique, because both sides rank a (triplet, sub-band) pair
+by the same completion time, so a greedy walk over the pairs in
+ascending time computes it. In a swap, two matched triplets exchange
+sub-bands when neither's completion time worsens and at least one
+strictly improves; a matched triplet may also relocate to an idle
+sub-band when that strictly helps it. Because sub-bands are orthogonal
+and the co-receiver coupling is internal to each triplet, untouched
+triplets are unaffected by a swap.
 
 The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
-round's maximum per-sub-band completion time. When triplets outnumber
-sub-bands, unmatched triplets defer to later rounds and the total
-exchange delay sums the round maxima.
+round's maximum per-sub-band completion time; the grid's orthogonal
+fallback matching is also the round's OMA outcome. When triplets
+outnumber sub-bands, unmatched triplets defer to later rounds and the
+total exchange delay sums the round maxima.
 """
 
 from __future__ import annotations
@@ -90,45 +94,23 @@ class Assignment:
 
 
 def build_preferences(times: np.ndarray):
-    """Two-sided preference lists, ascending completion time, index ties.
-
-    Returns (triplet_prefs, sb_prefs): triplet_prefs[t] is the sub-band
-    order t proposes in; sb_prefs[s] maps each triplet to its rank at s.
-    """
-    num_t, num_s = times.shape
-    triplet_prefs = [
-        sorted(range(num_s), key=lambda s: (times[t, s], s))
-        for t in range(num_t)
-    ]
-    sb_rank = []
-    for s in range(num_s):
-        order = sorted(range(num_t), key=lambda t: (times[t, s], t))
-        rank = {t: r for r, t in enumerate(order)}
-        sb_rank.append(rank)
-    return triplet_prefs, sb_rank
+    """Both sides' preferences as one order of the (triplet, sub-band)
+    pairs: ascending time, ties by triplet then sub-band. Returns the
+    triplet and sub-band index arrays (rows, cols) in that order."""
+    order = np.argsort(times, axis=None, kind="stable")
+    return np.divmod(order, times.shape[1])
 
 
-def stable_marriage(triplet_prefs, sb_rank) -> Assignment:
-    """Triplet-proposing deferred acceptance; sides may be unequal."""
-    num_t = len(triplet_prefs)
-    next_choice = [0] * num_t
+def stable_marriage(rows, cols) -> Assignment:
+    """The unique stable matching: walk the pairs in preference order and
+    keep each whose triplet and sub-band are both free, since it is then
+    the first remaining choice of both. Sides may be unequal."""
     holder: dict[int, int] = {}
-    free = list(range(num_t - 1, -1, -1))  # pop() serves lowest index first
-    while free:
-        t = free.pop()
-        prefs = triplet_prefs[t]
-        while next_choice[t] < len(prefs):
-            s = prefs[next_choice[t]]
-            next_choice[t] += 1
-            current = holder.get(s)
-            if current is None:
-                holder[s] = t
-                break
-            if sb_rank[s][t] < sb_rank[s][current]:
-                holder[s] = t
-                free.append(current)
-                break
-        # exhausted preferences: triplet stays unmatched (deferred)
+    matched: set[int] = set()
+    for t, s in zip(rows.tolist(), cols.tolist()):
+        if s not in holder and t not in matched:
+            holder[s] = t
+            matched.add(t)
     return Assignment(sb_to_triplet=dict(sorted(holder.items())))
 
 
@@ -309,21 +291,24 @@ def _round_outcome(links: RoundLinks, assignment: Assignment,
 
 
 def _match_round(times: np.ndarray, max_iters: int):
-    prefs, ranks = build_preferences(times)
-    assignment = stable_marriage(prefs, ranks)
+    assignment = stable_marriage(*build_preferences(times))
     return swap_until_stable(assignment, times, max_iters)
 
 
 def grid_search_alpha(links: RoundLinks, config: SimConfig,
-                      triplet_ids: np.ndarray | None = None) -> RoundOutcome:
+                      triplet_ids: np.ndarray | None = None
+                      ) -> tuple[RoundOutcome, RoundOutcome]:
     """Pick the common power split minimizing the round's max pair time.
 
-    Every grid point runs deferred acceptance plus the swap loop; the
+    Every grid point runs the stable matching plus the swap loop; the
     lowest-delay point wins, ties resolved toward the lower split. The
     orthogonal mode is evaluated as a fallback: on rounds whose pairs
     are too heterogeneous for any single split, the scheduler transmits
     orthogonally instead, so the superposed scheme never does worse
     than the baseline on the same round.
+
+    Returns (superposed, orthogonal): the winning outcome and the
+    fallback's own outcome, the same object when the fallback wins.
     """
     step = config.power_grid_step
     if not 0.0 < step <= 1.0:
@@ -338,29 +323,22 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
         delay = assignment.max_time(times)
         if best is None or delay < best[0]:
             best = (delay, float(a_s), assignment, stats)
-    fallback_times = oma_times(links)
-    assignment, stats = _match_round(fallback_times, config.swap_max_iters)
-    if assignment.max_time(fallback_times) < best[0]:
-        best = (assignment.max_time(fallback_times), None, assignment, stats)
-    delay, a_s, assignment, stats = best
-    return _round_outcome(links, assignment, a_s, stats, triplet_ids)
-
-
-def _oma_round(links: RoundLinks, config: SimConfig,
-               triplet_ids: np.ndarray) -> RoundOutcome:
-    times = oma_times(links)
-    assignment, stats = _match_round(times, config.swap_max_iters)
-    return _round_outcome(links, assignment, None, stats, triplet_ids)
+    assignment, stats = _match_round(oma_times(links), config.swap_max_iters)
+    orthogonal = _round_outcome(links, assignment, None, stats, triplet_ids)
+    if orthogonal.round_max < best[0]:
+        return orthogonal, orthogonal
+    _, a_s, assignment, stats = best
+    return (_round_outcome(links, assignment, a_s, stats, triplet_ids),
+            orthogonal)
 
 
 def _partition_rounds(links: RoundLinks, times: np.ndarray) -> list[np.ndarray]:
-    """Split triplets into ceil(T/N) rounds via deferred-acceptance deferral."""
+    """Split triplets into ceil(T/N) rounds: each round is the stable
+    matching of the triplets left unmatched by the rounds before it."""
     remaining = np.arange(links.num_triplets)
     rounds = []
     while remaining.size:
-        sub = times[remaining]
-        prefs, ranks = build_preferences(sub)
-        assignment = stable_marriage(prefs, ranks)
+        assignment = stable_marriage(*build_preferences(times[remaining]))
         matched_local = sorted(assignment.sb_to_triplet.values())
         matched = remaining[matched_local]
         rounds.append(matched)
@@ -387,8 +365,9 @@ def schedule_exchange(topology: Topology, config: SimConfig,
     noma_outcome = ScheduleOutcome()
     oma_outcome = ScheduleOutcome()
     for ids in rounds:
-        noma_outcome.rounds.append(
-            grid_search_alpha(links.subset(ids), config, triplet_ids=ids))
-        oma_outcome.rounds.append(_oma_round(links.subset(ids), config, ids))
+        superposed, orthogonal = grid_search_alpha(links.subset(ids), config,
+                                                   triplet_ids=ids)
+        noma_outcome.rounds.append(superposed)
+        oma_outcome.rounds.append(orthogonal)
 
     return noma_outcome, oma_outcome

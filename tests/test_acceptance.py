@@ -138,7 +138,7 @@ def scheduling_corpus():
         records = []
         for ids in _partition_rounds(links, oma_times(links)):
             sub = links.subset(ids)
-            rnd = grid_search_alpha(sub, cfg)
+            rnd, _ = grid_search_alpha(sub, cfg)
             times_o = oma_times(sub)
             prefs, ranks = build_preferences(times_o)
             a_oma, _ = swap_until_stable(stable_marriage(prefs, ranks),
@@ -287,7 +287,7 @@ def test_criterion_09_brute_force_blocking_and_gap():
         total = optimum = 0.0
         for ids in _partition_rounds(links, oma_times(links)):
             sub = links.subset(ids)
-            rnd = grid_search_alpha(sub, cfg)
+            rnd, _ = grid_search_alpha(sub, cfg)
             times = (oma_times(sub) if rnd.alpha_strong is None
                      else noma_times(sub, rnd.alpha_strong))
             prefs, ranks = build_preferences(times)

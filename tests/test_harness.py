@@ -255,6 +255,16 @@ def test_cli_validate_rejects_bad_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["rng_seed = 1.5", "num_nodes = nine",
+                                  "fading_param = two", "temp_low_c = cold"])
+def test_cli_validate_rejects_malformed_number(tmp_path, capsys, text):
+    path = write_scenario(tmp_path, "num_subbands = 2\n" + text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert text.split(" = ")[0] in err
+
+
 def test_cli_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 2
 

@@ -10,7 +10,7 @@ from conftest import grid_topology, small_config
 from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
-                          oma_leg_times, pair_completion_noma,
+                          oma_leg_times, oma_times, pair_completion_noma,
                           pair_completion_oma)
 from udnsync.scheduler import (Assignment, SchedulerError, build_links,
                                build_preferences, grid_search_alpha,
@@ -99,13 +99,58 @@ def test_degenerate_splits_give_infinite_times(rng):
 # preferences and deferred acceptance
 
 
+def _deferred_acceptance_reference(times):
+    """Triplet-proposing deferred acceptance on per-side preference lists."""
+    num_t, num_s = times.shape
+    triplet_prefs = [sorted(range(num_s), key=lambda s: (times[t, s], s))
+                     for t in range(num_t)]
+    sb_rank = []
+    for s in range(num_s):
+        order = sorted(range(num_t), key=lambda t: (times[t, s], t))
+        sb_rank.append({t: r for r, t in enumerate(order)})
+    next_choice = [0] * num_t
+    holder = {}
+    free = list(range(num_t - 1, -1, -1))  # pop() serves lowest index first
+    while free:
+        t = free.pop()
+        prefs = triplet_prefs[t]
+        while next_choice[t] < len(prefs):
+            s = prefs[next_choice[t]]
+            next_choice[t] += 1
+            current = holder.get(s)
+            if current is None:
+                holder[s] = t
+                break
+            if sb_rank[s][t] < sb_rank[s][current]:
+                holder[s] = t
+                free.append(current)
+                break
+    return dict(sorted(holder.items()))
+
+
 def test_preferences_ascending_time_with_index_ties():
     times = np.array([[3.0, 1.0, 2.0],
                       [5.0, 5.0, 5.0]])
-    prefs, ranks = build_preferences(times)
-    assert prefs[0] == [1, 2, 0]
-    assert prefs[1] == [0, 1, 2]        # ties resolved toward lower index
-    assert ranks[0] == {0: 0, 1: 1}     # sub-band 0 prefers the faster triplet
+    rows, cols = build_preferences(times)
+    # equal times resolve toward the lower triplet, then the lower sub-band
+    assert rows.tolist() == [0, 0, 0, 1, 1, 1]
+    assert cols.tolist() == [1, 2, 0, 0, 1, 2]
+
+
+def test_greedy_matching_equals_deferred_acceptance():
+    # distinct values, heavy ties, infinite times, and ties plus infinities
+    rng = np.random.default_rng(2024)
+    for i in range(2000):
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+        if i % 2:
+            times = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            times = rng.uniform(0.1, 10.0, size=shape)
+        if i % 4 >= 2:
+            times[rng.random(shape) < 0.4] = np.inf
+        result = stable_marriage(*build_preferences(times)).sb_to_triplet
+        assert list(result.items()) == list(
+            _deferred_acceptance_reference(times).items())
 
 
 def test_stable_marriage_single_pair():
@@ -249,7 +294,7 @@ def test_grid_search_single_pair_matches_fine_scan(rng):
     cfg = SimConfig(num_subbands=1)
     for _ in range(10):
         links = random_links(rng, 1, 1)
-        outcome = grid_search_alpha(links, cfg)
+        outcome, _ = grid_search_alpha(links, cfg)
         best = outcome.round_max
         fine = min(float(noma_times(links, a)[0, 0])
                    for a in np.linspace(1e-4, 1 - 1e-4, 40001))
@@ -268,7 +313,7 @@ def test_grid_search_never_selects_starving_endpoints(rng):
     cfg = SimConfig(num_subbands=2)
     for _ in range(10):
         links = random_links(rng, 2, 2)
-        outcome = grid_search_alpha(links, cfg)
+        outcome, _ = grid_search_alpha(links, cfg)
         assert 0.0 < outcome.alpha_strong < 1.0
         assert math.isfinite(outcome.round_max)
 
@@ -276,13 +321,33 @@ def test_grid_search_never_selects_starving_endpoints(rng):
 def test_grid_search_is_argmin_over_grid(rng):
     cfg = SimConfig(num_subbands=2, power_grid_step=0.05)
     links = random_links(rng, 2, 2)
-    outcome = grid_search_alpha(links, cfg)
+    outcome, _ = grid_search_alpha(links, cfg)
     for a_s in np.linspace(0.05, 0.95, 19):
         times = noma_times(links, float(a_s))
         prefs, ranks = build_preferences(times)
         cand, _ = swap_until_stable(stable_marriage(prefs, ranks), times,
                                     cfg.swap_max_iters)
         assert outcome.round_max <= cand.max_time(times) + 1e-15
+
+
+def test_grid_search_orthogonal_outcome_is_the_fallback_matching(rng):
+    # a unit step leaves only the two starving splits, so the orthogonal
+    # fallback wins every round there
+    for step in (0.05, 1.0):
+        cfg = SimConfig(num_subbands=3, power_grid_step=step)
+        for _ in range(10):
+            links = random_links(rng, 3, 3)
+            superposed, orthogonal = grid_search_alpha(links, cfg)
+            times = oma_times(links)
+            expected, _ = swap_until_stable(
+                stable_marriage(*build_preferences(times)), times,
+                cfg.swap_max_iters)
+            assert orthogonal.alpha_strong is None
+            assert orthogonal.assignment.sb_to_triplet == expected.sb_to_triplet
+            assert orthogonal.round_max == expected.max_time(times)
+            assert superposed.round_max <= orthogonal.round_max
+            if step == 1.0:
+                assert superposed is orthogonal
 
 
 def test_grid_search_rejects_empty_grid(rng):
