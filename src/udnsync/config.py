@@ -37,6 +37,8 @@ class FadingSpec:
     def validate(self) -> None:
         if self.kind not in ("rayleigh", "nakagami"):
             raise ConfigError(f"unknown fading kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ConfigError("fading param must be finite")
         if self.kind == "rayleigh" and self.param <= 0:
             raise ConfigError("rayleigh mean must be > 0")
         if self.kind == "nakagami" and self.param < 0.5:
@@ -85,6 +87,13 @@ class SimConfig:
         return self.system_bandwidth_hz / self.num_subbands
 
     def validate(self) -> None:
+        # NaN fails every comparison below, so reject non-finite numbers first
+        numbers = {f.name: getattr(self, f.name) for f in fields(self)
+                   if isinstance(getattr(self, f.name), float)}
+        numbers["temp_low_c"], numbers["temp_high_c"] = self.temp_range_c
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_nodes < 2:
             raise ConfigError("num_nodes must be >= 2")
         if self.num_subbands < 1:
@@ -125,7 +134,6 @@ _INT_KEYS = {
     "num_nodes", "num_subbands", "max_iters", "max_snapshots",
     "swap_max_iters", "rng_seed",
 }
-_SPECIAL_KEYS = {"fading_kind", "fading_param", "temp_low_c", "temp_high_c"}
 
 
 def _number(kind, key: str, val: str, lineno: int):

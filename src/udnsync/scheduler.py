@@ -9,14 +9,19 @@ sub-bands when neither's completion time worsens and at least one
 strictly improves; a matched triplet may also relocate to an idle
 sub-band when that strictly helps it. Because sub-bands are orthogonal
 and the co-receiver coupling is internal to each triplet, untouched
-triplets are unaffected by a swap.
+triplets are unaffected by a swap, and one swap step costs O(n^2) in
+the n matched triplets.
 
 The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
-fallback matching is also the round's OMA outcome. When triplets
-outnumber sub-bands, unmatched triplets defer to later rounds and the
-total exchange delay sums the round maxima.
+fallback matching is also the round's OMA outcome. The rate kernel runs
+once per round over the whole grid. Grid points whose times have the
+same dense rank share one matching run, and points whose lower bound
+cannot beat the best delay so far are skipped; the search returns what
+matching every point would. When triplets outnumber sub-bands,
+unmatched triplets defer to later rounds and the total exchange delay
+sums the round maxima.
 """
 
 from __future__ import annotations
@@ -152,45 +157,52 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
     candidate minimizing that maximum wins, ties broken by enumeration
     order (ascending indices, exchanges before relocations). The round
     maximum never increases, so the swap sequence terminates.
+
+    A candidate touches at most two matched pairs, so the maximum over
+    the untouched ones is the first of the three largest current times
+    that it does not touch; one step costs O(n^2).
     """
+    rows = times.tolist()
     matched = sorted(assignment.sb_to_triplet.items())  # (sb, triplet)
     idle = [s for s in range(times.shape[1])
             if s not in assignment.sb_to_triplet]
-    current_max = assignment.max_time(times)
-    best = None  # (resulting_max, new_mapping)
+    current = [rows[t][s] for s, t in matched]
+    current_max = max(current, default=0.0)
+    top = sorted(range(len(current)), key=current.__getitem__,
+                 reverse=True)[:3]
+
+    def others(a: int, b: int = -1) -> float:
+        for i in top:
+            if i != a and i != b:
+                return current[i]
+        return 0.0
+
+    best = None  # (resulting_max, from_sb, to_sb)
     n_swaps = 0
 
-    for a in range(len(matched)):
-        s1, t1 = matched[a]
+    for a, (s1, t1) in enumerate(matched):
+        old1 = current[a]
         for b in range(a + 1, len(matched)):
             s2, t2 = matched[b]
             n_swaps += 1
-            old1, old2 = times[t1, s1], times[t2, s2]
-            new1, new2 = times[t1, s2], times[t2, s1]
+            old2 = current[b]
+            new1, new2 = rows[t1][s2], rows[t2][s1]
             pareto = (new1 <= old1 and new2 <= old2
                       and (new1 < old1 or new2 < old2))
-            others = max((times[t, s] for s, t in matched
-                          if t not in (t1, t2)), default=0.0)
-            result = max(others, float(new1), float(new2))
+            result = max(others(a, b), new1, new2)
             if not pareto and not result < current_max:
                 continue
             if best is None or result < best[0]:
-                mapping = dict(assignment.sb_to_triplet)
-                mapping[s1], mapping[s2] = t2, t1
-                best = (result, mapping)
-    for s1, t1 in matched:
+                best = (result, s1, s2)
+    for a, (s1, t1) in enumerate(matched):
         for s_idle in idle:
-            others = max((times[t, s] for s, t in matched if t != t1),
-                         default=0.0)
-            result = max(others, float(times[t1, s_idle]))
-            pareto = times[t1, s_idle] < times[t1, s1]
+            new1 = rows[t1][s_idle]
+            result = max(others(a), new1)
+            pareto = new1 < current[a]
             if not pareto and not result < current_max:
                 continue
             if best is None or result < best[0]:
-                mapping = dict(assignment.sb_to_triplet)
-                del mapping[s1]
-                mapping[s_idle] = t1
-                best = (result, mapping)
+                best = (result, s1, s_idle)
 
     if stats is not None:
         stats.iterations += 1
@@ -199,8 +211,14 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
         return assignment
     if stats is not None:
         stats.accepted_swaps += 1
-    assert best[0] <= current_max + 0.0  # utility never degrades
-    new = Assignment(sb_to_triplet=dict(sorted(best[1].items())))
+    result, s1, s2 = best
+    assert result <= current_max  # utility never degrades
+    mapping = dict(assignment.sb_to_triplet)
+    t1, t2 = mapping.pop(s1), mapping.pop(s2, None)
+    mapping[s2] = t1
+    if t2 is not None:
+        mapping[s1] = t2
+    new = Assignment(sb_to_triplet=dict(sorted(mapping.items())))
     new.check()
     return new
 
@@ -300,12 +318,20 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
                       ) -> tuple[RoundOutcome, RoundOutcome]:
     """Pick the common power split minimizing the round's max pair time.
 
-    Every grid point runs the stable matching plus the swap loop; the
-    lowest-delay point wins, ties resolved toward the lower split. The
-    orthogonal mode is evaluated as a fallback: on rounds whose pairs
-    are too heterogeneous for any single split, the scheduler transmits
-    orthogonally instead, so the superposed scheme never does worse
-    than the baseline on the same round.
+    The rate kernel runs once, over the whole grid. The lowest-delay
+    point wins, ties resolved toward the lower split; each point's
+    delay is its matching's maximum time at that split. The matching
+    (stable matching plus swap loop) compares times only with each
+    other, so points whose times have the same dense rank share one
+    matching run. When every triplet fits on a sub-band, every triplet
+    is matched, so the largest per-triplet minimum time bounds a point's
+    delay from below; a point whose bound cannot beat the best delay so
+    far is skipped without being matched.
+
+    The orthogonal mode is evaluated as a fallback: on rounds whose
+    pairs are too heterogeneous for any single split, the scheduler
+    transmits orthogonally instead, so the superposed scheme never does
+    worse than the baseline on the same round.
 
     Returns (superposed, orthogonal): the winning outcome and the
     fallback's own outcome, the same object when the fallback wins.
@@ -316,13 +342,23 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     grid = alpha_grid(step)
     if triplet_ids is None:
         triplet_ids = np.arange(links.num_triplets)
+    all_times = noma_times(links, grid[:, None, None])  # (A, T, N)
+    if links.num_triplets <= links.num_subbands:
+        bounds = all_times.min(axis=2).max(axis=1).tolist()
+    else:
+        bounds = [-math.inf] * len(grid)
+    matchings = {}  # dense rank of times -> (assignment, stats)
     best = None  # (delay, alpha, assignment, stats)
-    for a_s in grid:
-        times = noma_times(links, float(a_s))
-        assignment, stats = _match_round(times, config.swap_max_iters)
+    for a_s, times, bound in zip(grid.tolist(), all_times, bounds):
+        if best is not None and bound >= best[0]:
+            continue
+        key = np.unique(times, return_inverse=True)[1].tobytes()
+        if key not in matchings:
+            matchings[key] = _match_round(times, config.swap_max_iters)
+        assignment, stats = matchings[key]
         delay = assignment.max_time(times)
         if best is None or delay < best[0]:
-            best = (delay, float(a_s), assignment, stats)
+            best = (delay, a_s, assignment, stats)
     assignment, stats = _match_round(oma_times(links), config.swap_max_iters)
     orthogonal = _round_outcome(links, assignment, None, stats, triplet_ids)
     if orthogonal.round_max < best[0]:

@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and unit conversions."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_subband_bandwidth_splits_system_bandwidth():
 def test_validate_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         SimConfig(**kwargs).validate()
+
+
+def test_validate_rejects_non_finite_numbers():
+    base = SimConfig()
+    names = [f.name for f in fields(SimConfig)
+             if isinstance(getattr(base, f.name), float)]
+    assert "power_grid_step" in names and "payload_bits" in names
+    for value in (math.nan, math.inf, -math.inf):
+        for name in names:
+            with pytest.raises(ConfigError, match=name):
+                replace(base, **{name: value}).validate()
+        for temps in ((value, 50.0), (0.0, value)):
+            with pytest.raises(ConfigError, match="temp_"):
+                replace(base, temp_range_c=temps).validate()
+        for kind in ("rayleigh", "nakagami"):
+            with pytest.raises(ConfigError, match="finite"):
+                FadingSpec(kind, value).validate()
 
 
 def test_fading_spec_validation():

@@ -265,6 +265,15 @@ def test_cli_validate_rejects_malformed_number(tmp_path, capsys, text):
     assert text.split(" = ")[0] in err
 
 
+@pytest.mark.parametrize("key", ["power_grid_step", "payload_bits"])
+def test_cli_validate_rejects_nan(tmp_path, capsys, key):
+    path = write_scenario(tmp_path, f"num_subbands = 2\n{key} = nan\n")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err
+
+
 def test_cli_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 2
 

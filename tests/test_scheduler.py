@@ -8,7 +8,7 @@ import pytest
 
 from conftest import grid_topology, small_config
 from udnsync.channel import sample_link_gains
-from udnsync.config import SimConfig
+from udnsync.config import SimConfig, alpha_grid
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           oma_leg_times, oma_times, pair_completion_noma,
                           pair_completion_oma)
@@ -137,17 +137,24 @@ def test_preferences_ascending_time_with_index_ties():
     assert cols.tolist() == [1, 2, 0, 0, 1, 2]
 
 
+def _random_times(rng, i):
+    """Seeded 1-11 x 1-11 times: distinct values, integer ties, 40% inf,
+    and ties plus inf, by i mod 4."""
+    shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+    if i % 2:
+        times = rng.integers(0, 3, size=shape).astype(float)
+    else:
+        times = rng.uniform(0.1, 10.0, size=shape)
+    if i % 4 >= 2:
+        times[rng.random(shape) < 0.4] = np.inf
+    return times
+
+
 def test_greedy_matching_equals_deferred_acceptance():
     # distinct values, heavy ties, infinite times, and ties plus infinities
     rng = np.random.default_rng(2024)
     for i in range(2000):
-        shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
-        if i % 2:
-            times = rng.integers(0, 3, size=shape).astype(float)
-        else:
-            times = rng.uniform(0.1, 10.0, size=shape)
-        if i % 4 >= 2:
-            times[rng.random(shape) < 0.4] = np.inf
+        times = _random_times(rng, i)
         result = stable_marriage(*build_preferences(times)).sb_to_triplet
         assert list(result.items()) == list(
             _deferred_acceptance_reference(times).items())
@@ -201,6 +208,86 @@ def test_stable_marriage_never_blocks_randomized(rng):
 
 # ---------------------------------------------------------------------------
 # swap matching
+
+
+def _swap_matching_round_reference(assignment, times, stats=None):
+    """One swap step that rescans every matched pair per candidate."""
+    matched = sorted(assignment.sb_to_triplet.items())  # (sb, triplet)
+    idle = [s for s in range(times.shape[1])
+            if s not in assignment.sb_to_triplet]
+    current_max = assignment.max_time(times)
+    best = None  # (resulting_max, new_mapping)
+    n_swaps = 0
+
+    for a in range(len(matched)):
+        s1, t1 = matched[a]
+        for b in range(a + 1, len(matched)):
+            s2, t2 = matched[b]
+            n_swaps += 1
+            old1, old2 = times[t1, s1], times[t2, s2]
+            new1, new2 = times[t1, s2], times[t2, s1]
+            pareto = (new1 <= old1 and new2 <= old2
+                      and (new1 < old1 or new2 < old2))
+            others = max((times[t, s] for s, t in matched
+                          if t not in (t1, t2)), default=0.0)
+            result = max(others, float(new1), float(new2))
+            if not pareto and not result < current_max:
+                continue
+            if best is None or result < best[0]:
+                mapping = dict(assignment.sb_to_triplet)
+                mapping[s1], mapping[s2] = t2, t1
+                best = (result, mapping)
+    for s1, t1 in matched:
+        for s_idle in idle:
+            others = max((times[t, s] for s, t in matched if t != t1),
+                         default=0.0)
+            result = max(others, float(times[t1, s_idle]))
+            pareto = times[t1, s_idle] < times[t1, s1]
+            if not pareto and not result < current_max:
+                continue
+            if best is None or result < best[0]:
+                mapping = dict(assignment.sb_to_triplet)
+                del mapping[s1]
+                mapping[s_idle] = t1
+                best = (result, mapping)
+
+    if stats is not None:
+        stats.iterations += 1
+        stats.candidate_swaps_per_iteration.append(n_swaps)
+    if best is None:
+        return assignment
+    if stats is not None:
+        stats.accepted_swaps += 1
+    return Assignment(sb_to_triplet=dict(sorted(best[1].items())))
+
+
+def test_swap_step_equals_rescanning_reference():
+    rng = np.random.default_rng(2025)
+    steps = 0
+    for i in range(1200):
+        times = _random_times(rng, i)
+        num_t, num_s = times.shape
+        size = min(num_t, num_s)
+        if i % 3:
+            # a random partial matching, to start far from a fixed point
+            cur = Assignment(sb_to_triplet=dict(sorted(zip(
+                rng.permutation(num_s)[:size].tolist(),
+                rng.permutation(num_t)[:size].tolist()))))
+        else:
+            cur = stable_marriage(*build_preferences(times))
+        ref = cur
+        stats, ref_stats = SwapStats(), SwapStats()
+        for _ in range(30):
+            new = swap_matching_round(cur, times, stats)
+            ref_new = _swap_matching_round_reference(ref, times, ref_stats)
+            steps += 1
+            assert list(new.sb_to_triplet.items()) == list(
+                ref_new.sb_to_triplet.items())
+            assert stats == ref_stats
+            if new.sb_to_triplet == cur.sb_to_triplet:
+                break
+            cur, ref = new, ref_new
+    assert steps > 3000
 
 
 def test_swap_exchange_improving_both_is_applied():
@@ -296,8 +383,8 @@ def test_grid_search_single_pair_matches_fine_scan(rng):
         links = random_links(rng, 1, 1)
         outcome, _ = grid_search_alpha(links, cfg)
         best = outcome.round_max
-        fine = min(float(noma_times(links, a)[0, 0])
-                   for a in np.linspace(1e-4, 1 - 1e-4, 40001))
+        fine = float(noma_times(
+            links, np.linspace(1e-4, 1 - 1e-4, 40001)[:, None, None]).min())
         # within one grid step of the continuous optimum
         assert best <= min(
             float(noma_times(links, a)[0, 0])
@@ -328,6 +415,56 @@ def test_grid_search_is_argmin_over_grid(rng):
         cand, _ = swap_until_stable(stable_marriage(prefs, ranks), times,
                                     cfg.swap_max_iters)
         assert outcome.round_max <= cand.max_time(times) + 1e-15
+
+
+def _grid_search_reference(links, config):
+    """The split search with one kernel call and one matching per grid
+    point; returns (alpha or None, assignment, round max, swap stats)."""
+    best = None
+    for a_s in alpha_grid(config.power_grid_step):
+        times = noma_times(links, float(a_s))
+        assignment, stats = swap_until_stable(
+            stable_marriage(*build_preferences(times)), times,
+            config.swap_max_iters)
+        delay = assignment.max_time(times)
+        if best is None or delay < best[2]:
+            best = (float(a_s), assignment, delay, stats)
+    times = oma_times(links)
+    assignment, stats = swap_until_stable(
+        stable_marriage(*build_preferences(times)), times,
+        config.swap_max_iters)
+    if assignment.max_time(times) < best[2]:
+        return None, assignment, assignment.max_time(times), stats
+    return best
+
+
+@pytest.mark.parametrize("step", [0.0025, 0.05, 0.25])
+def test_grid_search_equals_per_point_reference(step):
+    rng = np.random.default_rng(31)
+    cfg = SimConfig(power_grid_step=step)
+    for num_t, num_s in ((1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 3)):
+        for _ in range(4):
+            links = random_links(rng, num_t, num_s)
+            outcome, _ = grid_search_alpha(links, cfg)
+            alpha, assignment, round_max, stats = _grid_search_reference(
+                links, cfg)
+            assert outcome.alpha_strong == alpha
+            assert list(outcome.assignment.sb_to_triplet.items()) == list(
+                assignment.sb_to_triplet.items())
+            assert outcome.round_max == round_max
+            assert outcome.swap_stats == stats
+
+
+def test_broadcast_kernel_is_bitwise_per_point(rng):
+    for num_t, num_s in ((1, 1), (3, 5), (5, 5), (10, 10)):
+        links = random_links(rng, num_t, num_s)
+        for step in (0.0025, 0.05, 0.25):
+            grid = alpha_grid(step)
+            tensor = noma_times(links, grid[:, None, None])
+            per_point = np.stack([noma_times(links, a) for a in grid.tolist()])
+            assert tensor.shape == (len(grid), num_t, num_s)
+            assert np.array_equal(tensor.view(np.uint64),
+                                  per_point.view(np.uint64))
 
 
 def test_grid_search_orthogonal_outcome_is_the_fallback_matching(rng):
