@@ -40,12 +40,12 @@ DIVERGENCE_SD_S = 1e3
 class ClockState:
     times: np.ndarray                    # seconds, per node
     skews_ppm: np.ndarray                # temperature-driven skews
-    prev_adjacency: np.ndarray | None = None  # weight memory from last snapshot
-    prev_in_mask: np.ndarray | None = None    # incoming-neighbor sets of that snapshot
+    memory: np.ndarray | None = None     # reciprocal weights of last snapshot
 
     def remember(self, graph: InterferenceGraph) -> None:
-        self.prev_adjacency = graph.adjacency.copy()
-        self.prev_in_mask = graph.in_mask.copy()
+        """Keep this snapshot's reciprocal weights (see proposed_weights)."""
+        mask = graph.in_mask
+        self.memory = np.where(mask & mask.T, graph.adjacency.T, 0.0)
 
 
 @dataclass
@@ -120,13 +120,8 @@ def proposed_weights(state: ClockState,
     in that snapshot; elsewhere it contributes zero. No memory at all
     degenerates to a half-step of the baseline rule.
     """
-    current = graph.adjacency
-    if state.prev_adjacency is None:
-        memory = np.zeros_like(current)
-    else:
-        bidirectional = state.prev_in_mask & state.prev_in_mask.T
-        memory = np.where(bidirectional, state.prev_adjacency.T, 0.0)
-    return (current + memory) / 2.0
+    memory = 0.0 if state.memory is None else state.memory
+    return (graph.adjacency + memory) / 2.0
 
 
 def update_proposed(state: ClockState, graph: InterferenceGraph,

@@ -58,8 +58,10 @@ class RoundLinks:
                           self.bandwidth_hz, self.payload_bits)
 
 
-def noma_leg_times(links: RoundLinks, alpha_strong: float):
-    """(t_strong, t_weak) matrices for one common power split."""
+def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray):
+    """(t_strong, t_weak) for a common power split: a float gives (T, N)
+    matrices, and an array of splits broadcasts against (T, N), e.g. an
+    (A, 1, 1) grid gives (A, T, N) tensors."""
     a_i, a_j = alpha_strong, 1.0 - alpha_strong
     p, s2, b, l = (links.tx_power_w, links.noise_w,
                    links.bandwidth_hz, links.payload_bits)
@@ -78,7 +80,9 @@ def noma_leg_times(links: RoundLinks, alpha_strong: float):
     return t_strong, t_weak
 
 
-def noma_times(links: RoundLinks, alpha_strong: float) -> np.ndarray:
+def noma_times(links: RoundLinks,
+               alpha_strong: float | np.ndarray) -> np.ndarray:
+    """Pair times max(t_strong, t_weak); alpha_strong as in noma_leg_times."""
     t_strong, t_weak = noma_leg_times(links, alpha_strong)
     return np.maximum(t_strong, t_weak)
 

@@ -16,12 +16,12 @@ The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
 fallback matching is also the round's OMA outcome. The rate kernel runs
-once per round over the whole grid. Grid points whose times have the
-same dense rank share one matching run, and points whose lower bound
-cannot beat the best delay so far are skipped; the search returns what
-matching every point would. When triplets outnumber sub-bands,
-unmatched triplets defer to later rounds and the total exchange delay
-sums the round maxima.
+once per round over the whole grid; the points are then matched in
+ascending order of a bottleneck lower bound on their delay, stopping at
+the first that cannot beat the best so far, which returns what matching
+every point would. When triplets outnumber sub-bands, unmatched
+triplets defer to later rounds and the total exchange delay sums the
+round maxima.
 """
 
 from __future__ import annotations
@@ -263,19 +263,6 @@ class ScheduleOutcome:
     def alpha_strong(self) -> list[float | None]:
         return [r.alpha_strong for r in self.rounds]
 
-    @property
-    def swap_iterations_used(self) -> int:
-        return max((r.swap_stats.iterations for r in self.rounds), default=0)
-
-    @property
-    def total_accepted_swaps(self) -> int:
-        return sum(r.swap_stats.accepted_swaps for r in self.rounds)
-
-    @property
-    def candidate_swaps_evaluated(self) -> int:
-        return sum(sum(r.swap_stats.candidate_swaps_per_iteration)
-                   for r in self.rounds)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -320,13 +307,13 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
 
     The rate kernel runs once, over the whole grid. The lowest-delay
     point wins, ties resolved toward the lower split; each point's
-    delay is its matching's maximum time at that split. The matching
-    (stable matching plus swap loop) compares times only with each
-    other, so points whose times have the same dense rank share one
-    matching run. When every triplet fits on a sub-band, every triplet
-    is matched, so the largest per-triplet minimum time bounds a point's
-    delay from below; a point whose bound cannot beat the best delay so
-    far is skipped without being matched.
+    delay is its matching's maximum time at that split. When T <= N
+    every triplet is matched, and when T >= N every sub-band is, so the
+    largest per-triplet (resp. per-sub-band) minimum time bounds a
+    point's delay from below (Gross 1959). Points are matched in
+    ascending (bound, index) order, and the walk stops at the first
+    whose (bound, index) is not below the best (delay, index): no later
+    point can win.
 
     The orthogonal mode is evaluated as a fallback: on rounds whose
     pairs are too heterogeneous for any single split, the scheduler
@@ -343,28 +330,26 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     if triplet_ids is None:
         triplet_ids = np.arange(links.num_triplets)
     all_times = noma_times(links, grid[:, None, None])  # (A, T, N)
-    if links.num_triplets <= links.num_subbands:
-        bounds = all_times.min(axis=2).max(axis=1).tolist()
-    else:
-        bounds = [-math.inf] * len(grid)
-    matchings = {}  # dense rank of times -> (assignment, stats)
-    best = None  # (delay, alpha, assignment, stats)
-    for a_s, times, bound in zip(grid.tolist(), all_times, bounds):
-        if best is not None and bound >= best[0]:
-            continue
-        key = np.unique(times, return_inverse=True)[1].tobytes()
-        if key not in matchings:
-            matchings[key] = _match_round(times, config.swap_max_iters)
-        assignment, stats = matchings[key]
-        delay = assignment.max_time(times)
-        if best is None or delay < best[0]:
-            best = (delay, a_s, assignment, stats)
+    num_t, num_s = links.num_triplets, links.num_subbands
+    bound = np.maximum(  # -inf where that side may be left partly unmatched
+        all_times.min(axis=2).max(axis=1) if num_t <= num_s else -np.inf,
+        all_times.min(axis=1).max(axis=1) if num_t >= num_s else -np.inf)
+    bounds = bound.tolist()
+    best = (math.inf, len(grid), None, None)  # (delay, index, assignment, stats)
+    for i in np.argsort(bound, kind="stable").tolist():
+        if (bounds[i], i) >= best[:2]:
+            break
+        assignment, stats = _match_round(all_times[i], config.swap_max_iters)
+        delay = assignment.max_time(all_times[i])
+        if (delay, i) < best[:2]:
+            best = (delay, i, assignment, stats)
     assignment, stats = _match_round(oma_times(links), config.swap_max_iters)
     orthogonal = _round_outcome(links, assignment, None, stats, triplet_ids)
     if orthogonal.round_max < best[0]:
         return orthogonal, orthogonal
-    _, a_s, assignment, stats = best
-    return (_round_outcome(links, assignment, a_s, stats, triplet_ids),
+    _, i, assignment, stats = best
+    return (_round_outcome(links, assignment, float(grid[i]), stats,
+                           triplet_ids),
             orthogonal)
 
 

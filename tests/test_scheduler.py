@@ -442,7 +442,8 @@ def _grid_search_reference(links, config):
 def test_grid_search_equals_per_point_reference(step):
     rng = np.random.default_rng(31)
     cfg = SimConfig(power_grid_step=step)
-    for num_t, num_s in ((1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 3)):
+    for num_t, num_s in ((1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 3),
+                         (10, 10)):
         for _ in range(4):
             links = random_links(rng, num_t, num_s)
             outcome, _ = grid_search_alpha(links, cfg)
@@ -453,6 +454,19 @@ def test_grid_search_equals_per_point_reference(step):
                 assignment.sb_to_triplet.items())
             assert outcome.round_max == round_max
             assert outcome.swap_stats == stats
+
+
+def test_grid_search_ties_go_to_the_lowest_split(monkeypatch):
+    # alpha=0.5 has the lowest bound but ties alpha=0 on delay, so the
+    # walk must visit alpha=0 after it and keep the lower split
+    tensor = np.stack([np.full((2, 3), 5.0),
+                       np.array([[1.0, 5.0, 5.0], [1.0, 5.0, 5.0]]),
+                       np.full((2, 3), 9.0)])
+    monkeypatch.setattr("udnsync.scheduler.noma_times",
+                        lambda links, alpha_strong: tensor)
+    links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
+    outcome, _ = grid_search_alpha(links, SimConfig(power_grid_step=0.5))
+    assert outcome.alpha_strong == 0.0
 
 
 def test_broadcast_kernel_is_bitwise_per_point(rng):
