@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from udnsync.config import ConfigError, load_config
@@ -34,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", choices=PRESETS, default=None,
                        help="named sweep layout applied on top of the scenario")
     run_p.add_argument("--full-scale", action="store_true",
-                       help="use full-size parameters instead of desk scale")
+                       help="with --preset: full-size parameters instead of desk scale")
 
     val_p = sub.add_parser("validate", help="check a scenario file and exit")
     val_p.add_argument("scenario")
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     config = load_config(args.scenario)
     if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+        config = config.with_overrides(rng_seed=args.seed)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -84,12 +83,15 @@ def _validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.full_scale and args.preset is None:
+        parser.error("--full-scale needs --preset")
     try:
         if args.command == "run":
             return _run(args)
         return _validate(args)
-    except (ConfigError, HarnessError, FileNotFoundError) as exc:
+    except (ConfigError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

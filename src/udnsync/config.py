@@ -122,18 +122,14 @@ class SimConfig:
             raise ConfigError("temp_range_c must be (low, high)")
         if self.iter_period <= 0:
             raise ConfigError("iter_period must be > 0")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
         self.fading.validate()
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)
         cfg.validate()
         return cfg
-
-
-_INT_KEYS = {
-    "num_nodes", "num_subbands", "max_iters", "max_snapshots",
-    "swap_max_iters", "rng_seed",
-}
 
 
 def _number(kind, key: str, val: str, lineno: int):
@@ -151,7 +147,9 @@ def parse_config_text(text: str) -> SimConfig:
     ``fading_kind`` / ``fading_param``, the temperature range as
     ``temp_low_c`` / ``temp_high_c``.
     """
-    known = {f.name for f in fields(SimConfig)} - {"fading", "temp_range_c"}
+    # annotations are strings under postponed evaluation
+    kinds = {f.name: int if f.type == "int" else float
+             for f in fields(SimConfig) if f.type in ("int", "float")}
     values: dict[str, object] = {}
     fading_kind, fading_param = None, None
     temp_low, temp_high = None, None
@@ -171,9 +169,8 @@ def parse_config_text(text: str) -> SimConfig:
             temp_low = _number(float, key, val, lineno)
         elif key == "temp_high_c":
             temp_high = _number(float, key, val, lineno)
-        elif key in known:
-            kind = int if key in _INT_KEYS else float
-            values[key] = _number(kind, key, val, lineno)
+        elif key in kinds:
+            values[key] = _number(kinds[key], key, val, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     cfg = SimConfig(**values)  # type: ignore[arg-type]

@@ -65,16 +65,8 @@ class SyncTrace:
         return np.array([s.iterations_used for s in self.snapshots])
 
     @property
-    def converged(self) -> np.ndarray:
-        return np.array([s.converged for s in self.snapshots])
-
-    @property
     def mean_iterations(self) -> float:
         return float(self.iterations_used.mean())
-
-    @property
-    def mean_final_sd(self) -> float:
-        return float(np.mean([s.sd_per_iteration[-1] for s in self.snapshots]))
 
     @property
     def algorithmic_time(self) -> float:
@@ -170,8 +162,7 @@ def run_snapshot(state: ClockState, config: SimConfig, topology: "Topology",
 
 
 def run_sync(config: SimConfig, topology: "Topology",
-             rng: np.random.Generator, rule: str = "proposed",
-             state: ClockState | None = None) -> SyncTrace:
+             rng: np.random.Generator, rule: str = "proposed") -> SyncTrace:
     """Run T_max snapshots and aggregate iteration counts.
 
     The weight memory starts from a graph drawn before the first
@@ -180,8 +171,7 @@ def run_sync(config: SimConfig, topology: "Topology",
     from udnsync.channel import sample_interference_gains
     from udnsync.topology import init_clocks
 
-    if state is None:
-        state = init_clocks(config, rng)
+    state = init_clocks(config, rng)
     gains = sample_interference_gains(config, rng)
     state.remember(build_graph(config.tx_power_w, topology, gains,
                                config.power_threshold_w, config.path_loss_exp))

@@ -39,7 +39,6 @@ class ExperimentSpec:
     sweep_values: tuple
     replications: int
     base_config: SimConfig
-    output_dir: str = "."
 
     def validate(self) -> None:
         if self.swept_parameter not in SWEEPABLE:
@@ -68,14 +67,14 @@ class ExperimentSpec:
 @dataclass
 class ResultRow:
     sweep_value: float
-    cf_mean: float
-    n_avg: float
-    algorithmic_time: float
-    exchange_delay_noma: float
-    exchange_delay_oma: float
-    t_sync_noma: float
-    t_sync_oma: float
-    noma_gain_pct: float
+    cf_mean: float = math.nan     # metrics stay NaN on a failed point
+    n_avg: float = math.nan
+    algorithmic_time: float = math.nan
+    exchange_delay_noma: float = math.nan
+    exchange_delay_oma: float = math.nan
+    t_sync_noma: float = math.nan
+    t_sync_oma: float = math.nan
+    noma_gain_pct: float = math.nan
     t_sync_noma_ci: float = 0.0   # 1.96 * standard error across replications
     t_sync_oma_ci: float = 0.0
     error: str = ""
@@ -141,12 +140,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             ))
         except Exception as exc:  # record the failure, keep sweeping
             rows.append(ResultRow(sweep_value=float(value),
-                                  cf_mean=math.nan, n_avg=math.nan,
-                                  algorithmic_time=math.nan,
-                                  exchange_delay_noma=math.nan,
-                                  exchange_delay_oma=math.nan,
-                                  t_sync_noma=math.nan, t_sync_oma=math.nan,
-                                  noma_gain_pct=math.nan,
                                   error=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -188,6 +181,19 @@ _FULL_SCALE = dict(num_nodes=250, max_snapshots=100, max_iters=20000,
                    noise_density_dbm_hz=-114.0)
 
 
+# name -> (swept parameter, sweep values, the preset's own overrides)
+_PRESETS = {
+    "fig4": ("power_threshold_dbm", (-100.0, -90.0, -80.0, -70.0, -60.0),
+             dict(max_snapshots=1)),
+    "fig5": ("num_subbands", (5, 10, 15), dict(num_nodes=90)),
+    "fig6": ("fading_mean", (0.5, 1.0, 2.0, 4.0), {}),
+    # the shape-parameter effect on the gain is clearest at low SNR
+    "fig7": ("nakagami_m", (1.0, 3.0), dict(noise_density_dbm_hz=-134.0)),
+    "fig8": ("num_subbands", (2, 3, 4), dict(num_nodes=36)),
+}
+PRESETS = tuple(_PRESETS)
+
+
 def preset(name: str, base: SimConfig, replications: int = 50,
            full_scale: bool = False) -> ExperimentSpec:
     """Named experiment layouts.
@@ -197,29 +203,9 @@ def preset(name: str, base: SimConfig, replications: int = 50,
     fig6: Rayleigh mean-gain sweep; fig7: Nakagami shape sweep;
     fig8: sub-band sweep sized for swap-iteration statistics.
     """
+    if name not in _PRESETS:
+        raise HarnessError(f"unknown preset {name!r}")
+    swept, values, own = _PRESETS[name]
     scale = _FULL_SCALE if full_scale else _DESK_SCALE
-
-    def config(**own) -> SimConfig:
-        return base.with_overrides(**{**scale, **own})
-
-    if name == "fig4":
-        return ExperimentSpec(name, "power_threshold_dbm",
-                              (-100.0, -90.0, -80.0, -70.0, -60.0),
-                              replications, config(max_snapshots=1))
-    if name == "fig5":
-        return ExperimentSpec(name, "num_subbands", (5, 10, 15),
-                              replications, config(num_nodes=90))
-    if name == "fig6":
-        return ExperimentSpec(name, "fading_mean", (0.5, 1.0, 2.0, 4.0),
-                              replications, config())
-    if name == "fig7":
-        # the shape-parameter effect on the gain is clearest at low SNR
-        return ExperimentSpec(name, "nakagami_m", (1.0, 3.0),
-                              replications, config(noise_density_dbm_hz=-134.0))
-    if name == "fig8":
-        return ExperimentSpec(name, "num_subbands", (2, 3, 4),
-                              replications, config(num_nodes=36))
-    raise HarnessError(f"unknown preset {name!r}")
-
-
-PRESETS = ("fig4", "fig5", "fig6", "fig7", "fig8")
+    return ExperimentSpec(name, swept, values, replications,
+                          base.with_overrides(**{**scale, **own}))

@@ -84,9 +84,6 @@ class Assignment:
 
     sb_to_triplet: dict[int, int] = field(default_factory=dict)
 
-    def triplet_to_sb(self) -> dict[int, int]:
-        return {t: s for s, t in self.sb_to_triplet.items()}
-
     def check(self) -> None:
         triplets = list(self.sb_to_triplet.values())
         if len(set(triplets)) != len(triplets):
@@ -117,25 +114,6 @@ def stable_marriage(rows, cols) -> Assignment:
             holder[s] = t
             matched.add(t)
     return Assignment(sb_to_triplet=dict(sorted(holder.items())))
-
-
-def has_blocking_pair(assignment: Assignment, times: np.ndarray) -> bool:
-    """True if some triplet and sub-band mutually prefer each other."""
-    num_t, num_s = times.shape
-    t_sb = assignment.triplet_to_sb()
-    for t in range(num_t):
-        cur_t = times[t, t_sb[t]] if t in t_sb else math.inf
-        for s in range(num_s):
-            if t_sb.get(t) == s:
-                continue
-            holder = assignment.sb_to_triplet.get(s)
-            cur_s = times[holder, s] if holder is not None else math.inf
-            t_prefers = (times[t, s], s) < (cur_t, t_sb.get(t, num_s))
-            s_prefers = (times[t, s], t) < ((cur_s, holder) if holder is not None
-                                            else (math.inf, num_t))
-            if t_prefers and s_prefers:
-                return True
-    return False
 
 
 @dataclass
@@ -243,9 +221,8 @@ def swap_until_stable(assignment: Assignment, times: np.ndarray,
 class RoundOutcome:
     assignment: Assignment
     alpha_strong: float | None      # None for the orthogonal baseline
-    t_strong: dict[int, float]      # per sub-band
-    t_weak: dict[int, float]
-    t_pair: dict[int, float]
+    t_strong: np.ndarray            # (T, N) leg times at this round's split
+    t_weak: np.ndarray
     round_max: float
     swap_stats: SwapStats
     triplet_ids: np.ndarray         # global triplet index per local row
@@ -259,10 +236,6 @@ class ScheduleOutcome:
     def exchange_delay_total(self) -> float:
         return float(sum(r.round_max for r in self.rounds))
 
-    @property
-    def alpha_strong(self) -> list[float | None]:
-        return [r.alpha_strong for r in self.rounds]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -270,11 +243,13 @@ class ScheduleOutcome:
                              "t_strong", "t_weak", "t_pair"])
             for i, rnd in enumerate(self.rounds, start=1):
                 for s, t in sorted(rnd.assignment.sb_to_triplet.items()):
+                    t_strong = float(rnd.t_strong[t, s])
+                    t_weak = float(rnd.t_weak[t, s])
                     writer.writerow([
                         i, s, int(rnd.triplet_ids[t]),
                         "" if rnd.alpha_strong is None else rnd.alpha_strong,
-                        repr(rnd.t_strong[s]), repr(rnd.t_weak[s]),
-                        repr(rnd.t_pair[s]),
+                        repr(t_strong), repr(t_weak),
+                        repr(max(t_strong, t_weak)),
                     ])
 
 
@@ -282,16 +257,13 @@ def _round_outcome(links: RoundLinks, assignment: Assignment,
                    alpha_strong: float | None, stats: SwapStats,
                    triplet_ids: np.ndarray) -> RoundOutcome:
     if alpha_strong is None:
-        leg_s, leg_w = oma_leg_times(links)
+        t_strong, t_weak = oma_leg_times(links)
     else:
-        leg_s, leg_w = noma_leg_times(links, alpha_strong)
-    pair = np.maximum(leg_s, leg_w)
-    t_strong = {s: float(leg_s[t, s]) for s, t in assignment.sb_to_triplet.items()}
-    t_weak = {s: float(leg_w[t, s]) for s, t in assignment.sb_to_triplet.items()}
-    t_pair = {s: float(pair[t, s]) for s, t in assignment.sb_to_triplet.items()}
+        t_strong, t_weak = noma_leg_times(links, alpha_strong)
     return RoundOutcome(assignment=assignment, alpha_strong=alpha_strong,
-                        t_strong=t_strong, t_weak=t_weak, t_pair=t_pair,
-                        round_max=assignment.max_time(pair),
+                        t_strong=t_strong, t_weak=t_weak,
+                        round_max=assignment.max_time(
+                            np.maximum(t_strong, t_weak)),
                         swap_stats=stats, triplet_ids=triplet_ids)
 
 
@@ -377,8 +349,6 @@ def schedule_exchange(topology: Topology, config: SimConfig,
     matching machinery, so the comparison isolates the access scheme
     and the superposed total provably never exceeds the orthogonal one.
     """
-    if not topology.triplets:
-        raise SchedulerError("no triplets to schedule")
     fading = sample_link_gains(config, len(topology.triplets), rng)
     links = build_links(topology, config, fading)
     rounds = _partition_rounds(links, oma_times(links))

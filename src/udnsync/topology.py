@@ -30,10 +30,6 @@ class Topology:
     distance_matrix: np.ndarray  # (K, K) meters
     triplets: tuple[tuple[int, int, int], ...]  # (tx, strong_rx, weak_rx)
 
-    @property
-    def num_nodes(self) -> int:
-        return self.positions.shape[0]
-
 
 def _ring_point(rng: np.random.Generator, center: np.ndarray,
                 r_min: float, r_max: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite."""
+"""Shared builders and checkers for the test suite."""
 
 import math
 
@@ -32,6 +32,25 @@ def small_config(**overrides) -> SimConfig:
     cfg = SimConfig(**base)
     cfg.validate()
     return cfg
+
+
+def has_blocking_pair(assignment, times: np.ndarray) -> bool:
+    """True if some triplet and sub-band mutually prefer each other."""
+    num_t, num_s = times.shape
+    t_sb = {t: s for s, t in assignment.sb_to_triplet.items()}
+    for t in range(num_t):
+        cur_t = times[t, t_sb[t]] if t in t_sb else math.inf
+        for s in range(num_s):
+            if t_sb.get(t) == s:
+                continue
+            holder = assignment.sb_to_triplet.get(s)
+            cur_s = times[holder, s] if holder is not None else math.inf
+            t_prefers = (times[t, s], s) < (cur_t, t_sb.get(t, num_s))
+            s_prefers = (times[t, s], t) < ((cur_s, holder) if holder is not None
+                                            else (math.inf, num_t))
+            if t_prefers and s_prefers:
+                return True
+    return False
 
 
 @pytest.fixture

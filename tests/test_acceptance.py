@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import grid_topology
+from conftest import grid_topology, has_blocking_pair
 from udnsync.channel import sample_interference_gains, sample_link_gains
 from udnsync.config import FadingSpec, SimConfig
 from udnsync.consensus import run_sync, timing_sd, update_proposed
@@ -25,9 +25,8 @@ from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           sinr_weak)
 from udnsync.scheduler import (Assignment, _partition_rounds, build_links,
                                build_preferences, grid_search_alpha,
-                               has_blocking_pair, schedule_exchange,
-                               stable_marriage, swap_matching_round,
-                               swap_until_stable)
+                               schedule_exchange, stable_marriage,
+                               swap_matching_round, swap_until_stable)
 from udnsync.topology import init_clocks, place_nodes
 
 

@@ -40,6 +40,7 @@ def test_subband_bandwidth_splits_system_bandwidth():
     dict(payload_bits=0.0),
     dict(temp_range_c=(50.0, 0.0)),
     dict(iter_period=0.0),
+    dict(rng_seed=-1),
 ])
 def test_validate_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

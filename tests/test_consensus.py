@@ -184,4 +184,5 @@ def test_run_sync_deterministic_under_seed():
     a = run_sync(cfg, topo, np.random.default_rng(9))
     b = run_sync(cfg, topo, np.random.default_rng(9))
     assert np.array_equal(a.iterations_used, b.iterations_used)
-    assert a.mean_final_sd == b.mean_final_sd
+    for snap_a, snap_b in zip(a.snapshots, b.snapshots, strict=True):
+        assert np.array_equal(snap_a.sd_per_iteration, snap_b.sd_per_iteration)

@@ -278,6 +278,24 @@ def test_cli_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{scenario}", "--out", "{tmp}/out", "--full-scale"],
+    ["run", "{scenario}", "--out", "{tmp}/out", "--seed", "-1"],
+    ["run", "{scenario}", "--out", "{scenario}"],   # --out is a file
+    ["validate", "{tmp}"],                          # scenario is a directory
+])
+def test_cli_usage_and_file_errors_exit_2(tmp_path, capsys, argv):
+    scenario = write_scenario(tmp_path)
+    argv = [a.format(scenario=scenario, tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_single_point(tmp_path, capsys):
     path = write_scenario(tmp_path)
     out_dir = tmp_path / "out"

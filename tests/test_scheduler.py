@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import grid_topology, small_config
+from conftest import grid_topology, has_blocking_pair, small_config
 from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig, alpha_grid
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
@@ -14,9 +15,9 @@ from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           pair_completion_oma)
 from udnsync.scheduler import (Assignment, SchedulerError, build_links,
                                build_preferences, grid_search_alpha,
-                               has_blocking_pair, schedule_exchange,
-                               stable_marriage, swap_matching_round,
-                               swap_until_stable, SwapStats)
+                               schedule_exchange, stable_marriage,
+                               swap_matching_round, swap_until_stable,
+                               SwapStats)
 from udnsync.topology import Topology, place_nodes
 
 
@@ -554,7 +555,8 @@ def test_noma_beats_oma_and_is_deterministic():
     b_noma, b_oma = schedule_exchange(topo, cfg, np.random.default_rng(4))
     assert a_noma.exchange_delay_total <= a_oma.exchange_delay_total
     assert a_noma.exchange_delay_total == b_noma.exchange_delay_total
-    assert a_noma.alpha_strong == b_noma.alpha_strong
+    assert ([r.alpha_strong for r in a_noma.rounds]
+            == [r.alpha_strong for r in b_noma.rounds])
     assert a_oma.exchange_delay_total == b_oma.exchange_delay_total
 
 
@@ -578,6 +580,20 @@ def test_outcome_csv_round_trip(tmp_path, rng):
     for rec in body:
         assert float(rec[6]) == pytest.approx(
             max(float(rec[4]), float(rec[5])))
+
+
+GOLDEN_SCHEDULE = Path(__file__).parent / "data" / "schedule_k21_n3.csv"
+
+
+def test_golden_schedule_csv(tmp_path):
+    # K=21 (7 triplets) on 3 sub-bands, three NOMA rounds, as first
+    # recorded; compared as bytes, like the benchmark's reference digests
+    cfg = SimConfig(num_nodes=21, num_subbands=3, noise_density_dbm_hz=-114.0)
+    topo = place_nodes(cfg, np.random.default_rng(21))
+    noma, _ = schedule_exchange(topo, cfg, np.random.default_rng(4))
+    out = tmp_path / "schedule.csv"
+    noma.to_csv(out)
+    assert out.read_bytes() == GOLDEN_SCHEDULE.read_bytes()
 
 
 def brute_force_round_optimum(times, members):
