@@ -14,11 +14,18 @@ def sample_gain(fading: FadingSpec, rng: np.random.Generator, size=None):
     the configured mean. Nakagami-m amplitude fading gives Gamma(m, 1/m)
     power with unit mean, so m only reshapes the distribution (m = 1
     recovers Exponential(1)).
+
+    Each draw is a unit-scale fill scaled in place; these are the same
+    bits that ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)`` return.
     """
     fading.validate()
+    param = fading.param
     if fading.kind == "rayleigh":
-        return rng.exponential(fading.param, size=size)
-    return rng.gamma(fading.param, 1.0 / fading.param, size=size)
+        gain, scale = rng.standard_exponential(size), param
+    else:
+        gain, scale = rng.standard_gamma(param, size), 1.0 / param
+    gain *= scale
+    return gain
 
 
 def noise_power(config: SimConfig) -> float:

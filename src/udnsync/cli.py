@@ -44,9 +44,6 @@ def _run(args) -> int:
     config = load_config(args.scenario)
     if args.seed is not None:
         config = config.with_overrides(rng_seed=args.seed)
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.preset is not None:
         reps = args.replications if args.replications is not None else 50
         spec = preset(args.preset, config, replications=reps,
@@ -56,7 +53,10 @@ def _run(args) -> int:
         name = Path(args.scenario).stem
         spec = ExperimentSpec(name, "power_threshold_dbm",
                               (config.power_threshold_dbm,), reps, config)
+    spec.validate()  # before the output directory is created
 
+    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_experiment(spec)
     csv_path = out_dir / f"{spec.scenario}.csv"
     emit_csv(rows, csv_path)

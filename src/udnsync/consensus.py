@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from udnsync.config import SimConfig
-from udnsync.graph import InterferenceGraph, build_graph
+from udnsync.graph import InterferenceGraph, build_graph, path_gain
 
 if TYPE_CHECKING:
     from udnsync.topology import Topology
@@ -43,9 +43,12 @@ class ClockState:
     memory: np.ndarray | None = None     # reciprocal weights of last snapshot
 
     def remember(self, graph: InterferenceGraph) -> None:
-        """Keep this snapshot's reciprocal weights (see proposed_weights)."""
-        mask = graph.in_mask
-        self.memory = np.where(mask & mask.T, graph.adjacency.T, 0.0)
+        """Keep this snapshot's reciprocal weights (see proposed_weights).
+
+        The adjacency is zero off the mask, so masking its transpose by
+        ``in_mask`` keeps exactly the bidirectional pairs.
+        """
+        self.memory = graph.adjacency.T * graph.in_mask
 
 
 @dataclass
@@ -113,7 +116,9 @@ def proposed_weights(state: ClockState,
     degenerates to a half-step of the baseline rule.
     """
     memory = 0.0 if state.memory is None else state.memory
-    return (graph.adjacency + memory) / 2.0
+    weights = graph.adjacency + memory
+    weights /= 2.0
+    return weights
 
 
 def update_proposed(state: ClockState, graph: InterferenceGraph,
@@ -124,9 +129,12 @@ def update_proposed(state: ClockState, graph: InterferenceGraph,
     return _apply_weights(state.times, proposed_weights(state, graph), eps)
 
 
-def run_snapshot(state: ClockState, config: SimConfig, topology: "Topology",
+def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
                  rng: np.random.Generator, rule: str = "proposed") -> SnapshotResult:
     """One synchronization period: iterate until sd <= delta or budget ends.
+
+    ``gain`` is the topology's path gain (``graph.path_gain``); only the
+    fading is redrawn each iteration.
 
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
@@ -141,9 +149,9 @@ def run_snapshot(state: ClockState, config: SimConfig, topology: "Topology",
     sds = []
     graph = None
     for _ in range(config.max_iters):
-        gains = sample_interference_gains(config, rng)
-        graph = build_graph(config.tx_power_w, topology, gains,
-                            config.power_threshold_w, config.path_loss_exp)
+        fading = sample_interference_gains(config, rng)
+        graph = build_graph(config.tx_power_w, gain, fading,
+                            config.power_threshold_w)
         state.times = update(state, graph, config.step_size)
         sd = timing_sd(state.times)
         sds.append(sd)
@@ -166,16 +174,18 @@ def run_sync(config: SimConfig, topology: "Topology",
     """Run T_max snapshots and aggregate iteration counts.
 
     The weight memory starts from a graph drawn before the first
-    snapshot, standing in for an initially synchronized exchange.
+    snapshot, standing in for an initially synchronized exchange. The
+    path gain is computed once here and shared by every iteration.
     """
     from udnsync.channel import sample_interference_gains
     from udnsync.topology import init_clocks
 
     state = init_clocks(config, rng)
-    gains = sample_interference_gains(config, rng)
-    state.remember(build_graph(config.tx_power_w, topology, gains,
-                               config.power_threshold_w, config.path_loss_exp))
+    gain = path_gain(topology, config.path_loss_exp)
+    fading = sample_interference_gains(config, rng)
+    state.remember(build_graph(config.tx_power_w, gain, fading,
+                               config.power_threshold_w))
     trace = SyncTrace(iter_period=config.iter_period)
     for _ in range(config.max_snapshots):
-        trace.snapshots.append(run_snapshot(state, config, topology, rng, rule))
+        trace.snapshots.append(run_snapshot(state, config, gain, rng, rule))
     return trace

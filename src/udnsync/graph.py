@@ -35,28 +35,36 @@ class InterferenceGraph:
 
 def graph_from_powers(power: np.ndarray, p0: float) -> InterferenceGraph:
     """Threshold a received-power matrix and row-normalize the weights."""
-    power = np.array(power, dtype=float)
+    return _threshold(np.array(power, dtype=float), p0)
+
+
+def _threshold(power: np.ndarray, p0: float) -> InterferenceGraph:
+    # takes ownership of ``power``: its diagonal is zeroed in place
     np.fill_diagonal(power, 0.0)
     in_mask = power >= p0
     np.fill_diagonal(in_mask, False)
-    thresholded = np.where(in_mask, power, 0.0)
-    row_sums = thresholded.sum(axis=1, keepdims=True)
-    adjacency = np.divide(thresholded, row_sums,
-                          out=np.zeros_like(thresholded), where=row_sums > 0)
+    adjacency = power * in_mask
+    row_sums = adjacency.sum(axis=1, keepdims=True)
+    # a row with no incoming neighbor is already all zero
+    np.divide(adjacency, row_sums, out=adjacency, where=row_sums > 0)
     return InterferenceGraph(power_matrix=power, in_mask=in_mask,
                              adjacency=adjacency)
 
 
-def build_graph(p_t: float, topology: "Topology", interference_gains: np.ndarray,
-                p0: float, path_loss_exp: float = 4.0) -> InterferenceGraph:
-    """Compute pairwise received powers, neighbor sets, and weights."""
+def path_gain(topology: "Topology", path_loss_exp: float) -> np.ndarray:
+    """Pairwise d^-alpha; zero on the diagonal. Fixed for a topology."""
     dist = topology.distance_matrix
-    k = dist.shape[0]
-    if interference_gains.shape != (k, k):
+    return np.where(dist > 0, dist, np.inf) ** -path_loss_exp
+
+
+def build_graph(p_t: float, path_gain: np.ndarray,
+                interference_gains: np.ndarray, p0: float) -> InterferenceGraph:
+    """Received powers p_t * |h|^2 * d^-alpha, neighbor sets and weights."""
+    if interference_gains.shape != path_gain.shape:
         raise GraphError("gain matrix shape does not match topology")
-    safe_dist = np.where(dist > 0, dist, np.inf)
-    power = p_t * interference_gains * safe_dist ** (-path_loss_exp)
-    return graph_from_powers(power, p0)
+    power = p_t * interference_gains
+    power *= path_gain
+    return _threshold(power, p0)
 
 
 def connectivity_factor(graph: InterferenceGraph) -> float:

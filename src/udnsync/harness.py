@@ -20,7 +20,7 @@ import numpy as np
 from udnsync.channel import sample_interference_gains
 from udnsync.config import FadingSpec, SimConfig
 from udnsync.consensus import run_sync
-from udnsync.graph import build_graph, connectivity_factor
+from udnsync.graph import build_graph, connectivity_factor, path_gain
 from udnsync.scheduler import schedule_exchange
 from udnsync.topology import place_nodes
 
@@ -84,8 +84,9 @@ def _replicate(config: SimConfig, rng: np.random.Generator) -> dict:
     """One replication; returns the per-run metrics."""
     topology = place_nodes(config, rng)
     gains = sample_interference_gains(config, rng)
-    graph = build_graph(config.tx_power_w, topology, gains,
-                        config.power_threshold_w, config.path_loss_exp)
+    graph = build_graph(config.tx_power_w,
+                        path_gain(topology, config.path_loss_exp), gains,
+                        config.power_threshold_w)
     cf = connectivity_factor(graph)
     trace = run_sync(config, topology, rng)
     noma, oma = schedule_exchange(topology, config, rng)

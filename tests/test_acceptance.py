@@ -18,7 +18,7 @@ from conftest import grid_topology, has_blocking_pair
 from udnsync.channel import sample_interference_gains, sample_link_gains
 from udnsync.config import FadingSpec, SimConfig
 from udnsync.consensus import run_sync, timing_sd, update_proposed
-from udnsync.graph import build_graph
+from udnsync.graph import build_graph, path_gain
 from udnsync.harness import ExperimentSpec, run_experiment
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           oma_times, rate, sinr_strong, sinr_strong_alone,
@@ -56,8 +56,8 @@ def test_criterion_01_consensus_converges_within_budget():
     # on a static graph the SD sequence must be non-increasing
     rng = np.random.default_rng(999)
     gains = sample_interference_gains(cfg, rng)
-    graph = build_graph(cfg.tx_power_w, topo, gains,
-                        cfg.power_threshold_w, cfg.path_loss_exp)
+    graph = build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
+                        gains, cfg.power_threshold_w)
     state = init_clocks(cfg, rng)
     state.remember(graph)
     sds = []

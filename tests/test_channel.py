@@ -7,7 +7,7 @@ from conftest import grid_topology
 from udnsync.channel import (noise_power, sample_gain,
                              sample_interference_gains, sample_link_gains)
 from udnsync.config import FadingSpec, SimConfig
-from udnsync.graph import build_graph
+from udnsync.graph import build_graph, path_gain
 
 
 def test_rayleigh_power_gain_moments(rng):
@@ -34,11 +34,25 @@ def test_nakagami_m1_matches_rayleigh_distribution(rng):
                        np.quantile(b, [0.25, 0.5, 0.9]), rtol=0.05)
 
 
+@pytest.mark.parametrize("kind,param", [
+    ("rayleigh", 0.5), ("rayleigh", 1.0), ("rayleigh", 2.0), ("rayleigh", 4.0),
+    ("nakagami", 1.0), ("nakagami", 3.0),
+])
+def test_sample_gain_bits_match_numpy_scaled_draws(kind, param):
+    got = sample_gain(FadingSpec(kind, param), np.random.default_rng(5),
+                      size=(7, 5))
+    rng = np.random.default_rng(5)
+    expected = (rng.exponential(param, size=(7, 5)) if kind == "rayleigh"
+                else rng.gamma(param, 1.0 / param, size=(7, 5)))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def two_node_power(p_t, gain, dist, alpha):
     """Power node 1 receives from node 0 in a two-node graph."""
     topo = grid_topology(2, spacing=dist, jitter=0.0)
     gains = np.full((2, 2), gain)
-    return build_graph(p_t, topo, gains, 0.0, alpha).power_matrix[1, 0]
+    graph = build_graph(p_t, path_gain(topo, alpha), gains, 0.0)
+    return graph.power_matrix[1, 0]
 
 
 def test_received_power_frozen_value():

@@ -1,21 +1,25 @@
 """Weighted-averaging clock updates and the snapshot loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import grid_topology, small_config
 from udnsync.channel import sample_interference_gains
+from udnsync.config import SimConfig
 from udnsync.consensus import (ClockState, ConsensusError, run_snapshot,
                                run_sync, timing_sd, update_baseline,
                                update_proposed)
-from udnsync.graph import build_graph, graph_from_powers
-from udnsync.topology import init_clocks
+from udnsync.graph import build_graph, graph_from_powers, path_gain
+from udnsync.harness import preset
+from udnsync.topology import init_clocks, place_nodes
 
 
 def make_graph(cfg, topo, rng):
-    return build_graph(cfg.tx_power_w, topo,
+    return build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
                        sample_interference_gains(cfg, rng),
-                       cfg.power_threshold_w, cfg.path_loss_exp)
+                       cfg.power_threshold_w)
 
 
 def test_timing_sd_frozen_value():
@@ -96,9 +100,9 @@ def test_memory_gated_by_bidirectional_neighbors():
 
 def test_snapshot_converges_on_grid(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
-    topo = grid_topology(25, rng=rng)
+    gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, topo, rng)
+    result = run_snapshot(state, cfg, gain, rng)
     assert result.converged
     assert result.sd_per_iteration[-1] <= cfg.sd_tolerance
     assert result.iterations_used == len(result.sd_per_iteration)
@@ -106,9 +110,9 @@ def test_snapshot_converges_on_grid(rng):
 
 def test_snapshot_respects_iteration_budget(rng):
     cfg = small_config(num_nodes=25, max_iters=3)
-    topo = grid_topology(25, rng=rng)
+    gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, topo, rng)
+    result = run_snapshot(state, cfg, gain, rng)
     assert result.iterations_used == 3
     assert not result.converged
 
@@ -116,30 +120,32 @@ def test_snapshot_respects_iteration_budget(rng):
 def test_snapshot_rejects_empty_budget(rng):
     cfg = small_config()
     object.__setattr__(cfg, "max_iters", 0)  # bypass config validation
-    topo = grid_topology(cfg.num_nodes, rng=rng)
+    gain = path_gain(grid_topology(cfg.num_nodes, rng=rng),
+                     cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
     with pytest.raises(ConsensusError, match="budget"):
-        run_snapshot(state, cfg, topo, rng)
+        run_snapshot(state, cfg, gain, rng)
 
 
 def test_snapshot_rejects_unknown_rule(rng):
     cfg = small_config()
-    topo = grid_topology(cfg.num_nodes, rng=rng)
+    gain = path_gain(grid_topology(cfg.num_nodes, rng=rng),
+                     cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
     with pytest.raises(ConsensusError, match="rule"):
-        run_snapshot(state, cfg, topo, rng, rule="propsed")
+        run_snapshot(state, cfg, gain, rng, rule="propsed")
 
 
 def test_skew_drift_applied_once_per_snapshot(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
-    topo = grid_topology(25, rng=rng)
+    gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     seed = rng.integers(1 << 31)
     runs = []
     for skew in (0.0, -10.0):
         r = np.random.default_rng(seed)
         state = init_clocks(cfg, r)
         state.skews_ppm = np.full(cfg.num_nodes, skew)
-        res = run_snapshot(state, cfg, topo, r)
+        res = run_snapshot(state, cfg, gain, r)
         runs.append((state.times.copy(), res.iterations_used))
     (t0, n0), (t1, n1) = runs
     assert n0 == n1  # identical in-snapshot trajectory
@@ -186,3 +192,35 @@ def test_run_sync_deterministic_under_seed():
     assert np.array_equal(a.iterations_used, b.iterations_used)
     for snap_a, snap_b in zip(a.snapshots, b.snapshots, strict=True):
         assert np.array_equal(snap_a.sd_per_iteration, snap_b.sd_per_iteration)
+
+
+@pytest.mark.parametrize("snapshots,iters", [(1, 1), (3, 40)])
+def test_run_sync_computes_path_gain_once(monkeypatch, snapshots, iters):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return path_gain(*args)
+
+    monkeypatch.setattr("udnsync.consensus.path_gain", counting)
+    monkeypatch.setattr("udnsync.graph.path_gain", counting)
+    cfg = small_config(num_nodes=16, max_snapshots=snapshots, max_iters=iters)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+    trace = run_sync(cfg, topo, np.random.default_rng(3))
+    assert len(trace.snapshots) == snapshots
+    assert len(calls) == 1
+
+
+GOLDEN_SYNC = Path(__file__).parent / "data" / "sync_fig6_full_seed6.csv"
+
+
+def test_golden_full_scale_sync_trace(tmp_path):
+    # Full-scale fig6 at fading mean 1.0 (K=250, 100 snapshots), seed 6,
+    # as first recorded; compared as bytes, like the benchmark's digests
+    cfg = preset("fig6", SimConfig(rng_seed=6), replications=1,
+                 full_scale=True).config_at(1.0)
+    rng = np.random.default_rng(6)
+    trace = run_sync(cfg, place_nodes(cfg, rng), rng)
+    out = tmp_path / "sync.csv"
+    trace.to_csv(out)
+    assert out.read_bytes() == GOLDEN_SYNC.read_bytes()

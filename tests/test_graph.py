@@ -6,8 +6,10 @@ import pytest
 from conftest import grid_topology
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
+from udnsync.consensus import ClockState
 from udnsync.graph import (GraphError, build_graph, connectivity_factor,
-                           graph_from_powers)
+                           graph_from_powers, path_gain)
+from udnsync.topology import place_nodes
 
 
 HAND_POWERS = np.array([
@@ -39,8 +41,8 @@ def test_threshold_is_inclusive():
 def test_rows_sum_to_one_or_zero(rng):
     cfg = SimConfig(num_nodes=25, power_threshold_dbm=-60.0)
     topo = grid_topology(25, rng=rng)
-    g = build_graph(cfg.tx_power_w, topo, sample_interference_gains(cfg, rng),
-                    cfg.power_threshold_w, cfg.path_loss_exp)
+    g = build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
+                    sample_interference_gains(cfg, rng), cfg.power_threshold_w)
     sums = g.adjacency.sum(axis=1)
     has_neighbors = g.in_mask.any(axis=1)
     assert np.allclose(sums[has_neighbors], 1.0)
@@ -51,8 +53,8 @@ def test_rows_sum_to_one_or_zero(rng):
 def test_zero_threshold_gives_complete_digraph(rng):
     cfg = SimConfig(num_nodes=10)
     topo = grid_topology(10, rng=rng)
-    g = build_graph(cfg.tx_power_w, topo, sample_interference_gains(cfg, rng),
-                    0.0, cfg.path_loss_exp)
+    g = build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
+                    sample_interference_gains(cfg, rng), 0.0)
     assert connectivity_factor(g) == pytest.approx(2.0)
 
 
@@ -64,7 +66,8 @@ def test_edge_count_monotone_in_threshold(rng):
     cfs = []
     for p0_dbm in thresholds_dbm:
         p0 = 10 ** ((p0_dbm - 30) / 10)
-        g = build_graph(cfg.tx_power_w, topo, gains, p0, cfg.path_loss_exp)
+        g = build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
+                        gains, p0)
         cfs.append(connectivity_factor(g))
     assert all(a >= b for a, b in zip(cfs, cfs[1:]))
     assert cfs[0] > cfs[-1]
@@ -79,4 +82,50 @@ def test_connectivity_factor_requires_two_nodes():
 def test_gain_shape_mismatch_rejected(rng):
     topo = grid_topology(5, rng=rng)
     with pytest.raises(GraphError):
-        build_graph(1.0, topo, np.ones((4, 4)), 0.0)
+        build_graph(1.0, path_gain(topo, 4.0), np.ones((4, 4)), 0.0)
+
+
+def _build_graph_reference(p_t, topology, gains, p0, path_loss_exp):
+    """The graph as first written: path loss per call, masks by np.where."""
+    dist = topology.distance_matrix
+    safe_dist = np.where(dist > 0, dist, np.inf)
+    power = np.array(p_t * gains * safe_dist ** (-path_loss_exp), dtype=float)
+    np.fill_diagonal(power, 0.0)
+    in_mask = power >= p0
+    np.fill_diagonal(in_mask, False)
+    thresholded = np.where(in_mask, power, 0.0)
+    row_sums = thresholded.sum(axis=1, keepdims=True)
+    adjacency = np.divide(thresholded, row_sums,
+                          out=np.zeros_like(thresholded), where=row_sums > 0)
+    return power, in_mask, adjacency
+
+
+@pytest.mark.parametrize("k", [9, 90, 250])
+def test_build_graph_bits_match_reference(k):
+    cfg = SimConfig(num_nodes=k)
+    rng = np.random.default_rng(k)
+    topo = place_nodes(cfg, rng)
+    gains = sample_interference_gains(cfg, rng)
+    gain = path_gain(topo, cfg.path_loss_exp)
+    power, _, _ = _build_graph_reference(cfg.tx_power_w, topo, gains, 0.0,
+                                         cfg.path_loss_exp)
+    # half the rows keep no neighbor at the median of the row maxima
+    isolating = float(np.median(power.max(axis=1)))
+    for p0 in (0.0, cfg.power_threshold_w, isolating):
+        ref_power, ref_mask, ref_adj = _build_graph_reference(
+            cfg.tx_power_w, topo, gains, p0, cfg.path_loss_exp)
+        g = build_graph(cfg.tx_power_w, gain, gains, p0)
+        assert np.array_equal(g.power_matrix.view(np.uint64),
+                              ref_power.view(np.uint64))
+        assert np.array_equal(g.adjacency.view(np.uint64),
+                              ref_adj.view(np.uint64))
+        assert np.array_equal(g.in_mask, ref_mask)
+        if p0 == isolating:
+            isolated = ~g.in_mask.any(axis=1)
+            assert 0 < isolated.sum() < k
+        # the reciprocal memory as first written
+        state = ClockState(times=np.zeros(k), skews_ppm=np.zeros(k))
+        state.remember(g)
+        expected = np.where(ref_mask & ref_mask.T, ref_adj.T, 0.0)
+        assert np.array_equal(state.memory.view(np.uint64),
+                              expected.view(np.uint64))

@@ -283,6 +283,9 @@ def test_cli_validate_missing_file(tmp_path):
     ["run", "{scenario}", "--out", "{tmp}/out", "--seed", "-1"],
     ["run", "{scenario}", "--out", "{scenario}"],   # --out is a file
     ["validate", "{tmp}"],                          # scenario is a directory
+    ["run", "{scenario}", "--out", "{tmp}/out", "--replications", "0"],
+    ["run", "{scenario}", "--out", "{tmp}/out", "--preset", "fig8",
+     "--replications", "0"],
 ])
 def test_cli_usage_and_file_errors_exit_2(tmp_path, capsys, argv):
     scenario = write_scenario(tmp_path)
