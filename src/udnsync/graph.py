@@ -45,8 +45,9 @@ def _threshold(power: np.ndarray, p0: float) -> InterferenceGraph:
     np.fill_diagonal(in_mask, False)
     adjacency = power * in_mask
     row_sums = adjacency.sum(axis=1, keepdims=True)
-    # a row with no incoming neighbor is already all zero
-    np.divide(adjacency, row_sums, out=adjacency, where=row_sums > 0)
+    # a row with no incoming neighbor is all zero and is divided by 1.0
+    row_sums[row_sums == 0.0] = 1.0
+    adjacency /= row_sums
     return InterferenceGraph(power_matrix=power, in_mask=in_mask,
                              adjacency=adjacency)
 

@@ -58,25 +58,47 @@ class RoundLinks:
                           self.bandwidth_hz, self.payload_bits)
 
 
+def _shannon(snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
+    """bandwidth_hz * log2(1 + snr), in the buffer of ``snr``."""
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= bandwidth_hz
+    return snr
+
+
 def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray):
     """(t_strong, t_weak) for a common power split: a float gives (T, N)
     matrices, and an array of splits broadcasts against (T, N), e.g. an
-    (A, 1, 1) grid gives (A, T, N) tensors."""
+    (A, 1, 1) grid gives (A, T, N) tensors.
+
+    The domain is finite, non-negative gains and noise_w > 0 (what
+    ``build_links`` produces). No rate is then NaN, a zero rate gives
+    ``l / 0 = inf``, and every time is positive or +inf. Each step runs
+    in place on the output buffers.
+    """
     a_i, a_j = alpha_strong, 1.0 - alpha_strong
     p, s2, b, l = (links.tx_power_w, links.noise_w,
                    links.bandwidth_hz, links.payload_bits)
     gs, gw = links.gain_strong, links.gain_weak
+    signal = gs * a_i * p
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_strong = b * np.log2(1.0 + gs * a_i * p / (gs * a_j * p + s2))
-        r_weak = b * np.log2(1.0 + gw * a_j * p / s2)
-        r_alone = b * np.log2(1.0 + gs * a_i * p / s2)
-        t_weak = np.where(r_weak > 0, l / r_weak, np.inf)
-        direct = np.where(r_strong > 0, l / r_strong, np.inf)
-        residual = np.where(r_alone > 0,
-                            t_weak + (l - r_strong * t_weak) / r_alone, np.inf)
-        t_strong = np.where(direct <= t_weak, direct, residual)
-    t_strong = np.where(np.isfinite(t_strong), t_strong, np.inf)
-    t_weak = np.where(np.isfinite(t_weak), t_weak, np.inf)
+        r_strong = gs * a_j * p
+        r_strong += s2
+        _shannon(np.divide(signal, r_strong, out=r_strong), b)
+        t_weak = gw * a_j * p
+        t_weak /= s2
+        np.divide(l, _shannon(t_weak, b), out=t_weak)
+        signal /= s2
+        r_alone = _shannon(signal, b)
+        direct = l / r_strong
+        # residual bits after the weak leg, drained at the alone rate; it
+        # is NaN only where direct <= t_weak = inf, where it is not used
+        t_strong = r_strong
+        t_strong *= t_weak
+        np.subtract(l, t_strong, out=t_strong)
+        t_strong /= r_alone
+        t_strong += t_weak
+    np.copyto(t_strong, direct, where=direct <= t_weak)
     return t_strong, t_weak
 
 
@@ -84,7 +106,7 @@ def noma_times(links: RoundLinks,
                alpha_strong: float | np.ndarray) -> np.ndarray:
     """Pair times max(t_strong, t_weak); alpha_strong as in noma_leg_times."""
     t_strong, t_weak = noma_leg_times(links, alpha_strong)
-    return np.maximum(t_strong, t_weak)
+    return np.maximum(t_strong, t_weak, out=t_strong)
 
 
 def oma_leg_times(links: RoundLinks):

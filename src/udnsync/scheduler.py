@@ -9,8 +9,11 @@ sub-bands when neither's completion time worsens and at least one
 strictly improves; a matched triplet may also relocate to an idle
 sub-band when that strictly helps it. Because sub-bands are orthogonal
 and the co-receiver coupling is internal to each triplet, untouched
-triplets are unaffected by a swap, and one swap step costs O(n^2) in
-the n matched triplets.
+triplets are unaffected by a swap. So only the candidates that move the
+bottleneck triplet can lower the round's maximum: a swap step prices
+those n - 1 exchanges and relocations, and finds any other winner, which
+can only be a Pareto move, by a comparison-only scan of at most
+n(n-1)/2 exchanges.
 
 The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
@@ -64,6 +67,9 @@ def build_links(topology: Topology, config: SimConfig,
     for t, (tx, strong_rx, weak_rx) in enumerate(triplets):
         eff[t, :, 0] = fading_gains[t, :, 0] * dist[tx, strong_rx] ** (-alpha)
         eff[t, :, 1] = fading_gains[t, :, 1] * dist[tx, weak_rx] ** (-alpha)
+    if not np.isfinite(eff).all():
+        raise SchedulerError("non-finite effective gain, e.g. a receiver "
+                             "placed on its transmitter")
     return RoundLinks(
         gain_strong=np.maximum(eff[:, :, 0], eff[:, :, 1]),
         gain_weak=np.minimum(eff[:, :, 0], eff[:, :, 1]),
@@ -136,61 +142,69 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
     order (ascending indices, exchanges before relocations). The round
     maximum never increases, so the swap sequence terminates.
 
-    A candidate touches at most two matched pairs, so the maximum over
-    the untouched ones is the first of the three largest current times
-    that it does not touch; one step costs O(n^2).
+    Only the candidates that touch the bottleneck pair k (the first
+    matched pair at the maximum) are priced. Any other candidate leaves
+    k in place, so its result is at least the current maximum; it is
+    admissible only as a Pareto move, and then its result is exactly
+    that maximum. Such a candidate can therefore win only as the
+    earliest admissible one, and only when no k-candidate strictly
+    lowers the maximum: a comparison-only scan finds it, stopping at the
+    best k-candidate in enumeration order. A step costs O(n + idle) to
+    price and at most O(n^2) comparisons to scan.
     """
-    rows = times.tolist()
     matched = sorted(assignment.sb_to_triplet.items())  # (sb, triplet)
+    n = len(matched)
+    if stats is not None:
+        stats.iterations += 1
+        stats.candidate_swaps_per_iteration.append(n * (n - 1) // 2)
+    if not n:
+        return assignment
+    rows = times.tolist()
     idle = [s for s in range(times.shape[1])
             if s not in assignment.sb_to_triplet]
     current = [rows[t][s] for s, t in matched]
-    current_max = max(current, default=0.0)
-    top = sorted(range(len(current)), key=current.__getitem__,
-                 reverse=True)[:3]
+    top = sorted(range(n), key=current.__getitem__, reverse=True)[:3]
+    k, current_max = top[0], current[top[0]]
+    # the maximum over the pairs that a k-candidate leaves alone
+    second = current[top[1]] if n > 1 else 0.0
+    third = current[top[2]] if n > 2 else 0.0
 
-    def others(a: int, b: int = -1) -> float:
-        for i in top:
-            if i != a and i != b:
-                return current[i]
-        return 0.0
+    s_k, t_k = matched[k]
+    row_k = rows[t_k]
+    # (resulting_max, key, to_sb); keys sort in enumeration order:
+    # (0, a, b) for an exchange, (1, a, j) for a relocation to idle[j]
+    best = None
+    for b, (s2, t2) in enumerate(matched):
+        if b == k:
+            continue
+        new1, new2, old2 = row_k[s2], rows[t2][s_k], current[b]
+        pareto = (new1 <= current_max and new2 <= old2
+                  and (new1 < current_max or new2 < old2))
+        result = max(third if b == top[1] else second, new1, new2)
+        if not pareto and not result < current_max:
+            continue
+        if best is None or result < best[0]:
+            best = (result, (0, min(b, k), max(b, k)), s2)
+    for j, s_idle in enumerate(idle):
+        new1 = row_k[s_idle]
+        result = max(second, new1)
+        if not new1 < current_max and not result < current_max:
+            continue
+        if best is None or result < best[0]:
+            best = (result, (1, k, j), s_idle)
 
-    best = None  # (resulting_max, from_sb, to_sb)
-    n_swaps = 0
-
-    for a, (s1, t1) in enumerate(matched):
-        old1 = current[a]
-        for b in range(a + 1, len(matched)):
-            s2, t2 = matched[b]
-            n_swaps += 1
-            old2 = current[b]
-            new1, new2 = rows[t1][s2], rows[t2][s1]
-            pareto = (new1 <= old1 and new2 <= old2
-                      and (new1 < old1 or new2 < old2))
-            result = max(others(a, b), new1, new2)
-            if not pareto and not result < current_max:
-                continue
-            if best is None or result < best[0]:
-                best = (result, s1, s2)
-    for a, (s1, t1) in enumerate(matched):
-        for s_idle in idle:
-            new1 = rows[t1][s_idle]
-            result = max(others(a), new1)
-            pareto = new1 < current[a]
-            if not pareto and not result < current_max:
-                continue
-            if best is None or result < best[0]:
-                best = (result, s1, s_idle)
-
-    if stats is not None:
-        stats.iterations += 1
-        stats.candidate_swaps_per_iteration.append(n_swaps)
-    if best is None:
+    assert best is None or best[0] <= current_max  # utility never degrades
+    move = None if best is None else (s_k, best[2])
+    if best is None or best[0] == current_max:
+        # every admissible candidate ties at the maximum: the earliest wins
+        stop = (2,) if best is None else best[1]
+        move = _first_pareto_move(rows, matched, current, idle, k,
+                                  stop) or move
+    if move is None:
         return assignment
     if stats is not None:
         stats.accepted_swaps += 1
-    result, s1, s2 = best
-    assert result <= current_max  # utility never degrades
+    s1, s2 = move
     mapping = dict(assignment.sb_to_triplet)
     t1, t2 = mapping.pop(s1), mapping.pop(s2, None)
     mapping[s2] = t1
@@ -199,6 +213,36 @@ def swap_matching_round(assignment: Assignment, times: np.ndarray,
     new = Assignment(sb_to_triplet=dict(sorted(mapping.items())))
     new.check()
     return new
+
+
+def _first_pareto_move(rows, matched, current, idle, k: int,
+                       stop: tuple):
+    """(from_sb, to_sb) of the earliest Pareto candidate that leaves pair
+    k alone and whose key comes before ``stop`` in enumeration order."""
+    for a, (s1, t1) in enumerate(matched):
+        if a == k:
+            continue
+        row1, old1 = rows[t1], current[a]
+        for b in range(a + 1, len(matched)):
+            if (0, a, b) >= stop:
+                return None
+            if b == k:
+                continue
+            s2, t2 = matched[b]
+            new1, new2, old2 = row1[s2], rows[t2][s1], current[b]
+            if (new1 <= old1 and new2 <= old2
+                    and (new1 < old1 or new2 < old2)):
+                return s1, s2
+    for a, (s1, t1) in enumerate(matched):
+        if a == k:
+            continue
+        old1 = current[a]
+        for j, s_idle in enumerate(idle):
+            if (1, a, j) >= stop:
+                return None
+            if rows[t1][s_idle] < old1:
+                return s1, s_idle
+    return None
 
 
 def swap_until_stable(assignment: Assignment, times: np.ndarray,
@@ -272,6 +316,16 @@ def _match_round(times: np.ndarray, max_iters: int):
     return swap_until_stable(assignment, times, max_iters)
 
 
+def _min_over(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """``tensor.min(axis)`` for a short axis, folded one slice at a time
+    with ``np.minimum``; the same bits, since min only selects."""
+    slices = np.moveaxis(tensor, axis, 0)
+    out = slices[0].copy()
+    for part in slices[1:]:
+        np.minimum(out, part, out=out)
+    return out
+
+
 def grid_search_alpha(links: RoundLinks, config: SimConfig,
                       triplet_ids: np.ndarray | None = None
                       ) -> tuple[RoundOutcome, RoundOutcome]:
@@ -304,8 +358,8 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     all_times = noma_times(links, grid[:, None, None])  # (A, T, N)
     num_t, num_s = links.num_triplets, links.num_subbands
     bound = np.maximum(  # -inf where that side may be left partly unmatched
-        all_times.min(axis=2).max(axis=1) if num_t <= num_s else -np.inf,
-        all_times.min(axis=1).max(axis=1) if num_t >= num_s else -np.inf)
+        _min_over(all_times, 2).max(axis=1) if num_t <= num_s else -np.inf,
+        _min_over(all_times, 1).max(axis=1) if num_t >= num_s else -np.inf)
     bounds = bound.tolist()
     best = (math.inf, len(grid), None, None)  # (delay, index, assignment, stats)
     for i in np.argsort(bound, kind="stable").tolist():

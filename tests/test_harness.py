@@ -1,6 +1,8 @@
 """Experiment driver, CSV/SVG artifacts, and the command line."""
 
 import csv
+import importlib
+import json
 import math
 from pathlib import Path
 
@@ -222,6 +224,24 @@ def test_golden_fig8_csv(tmp_path):
         for col in CSV_COLUMNS[:-1]:
             assert float(row[col]) == pytest.approx(float(ref[col]),
                                                     rel=1e-12, abs=0.0)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["exchange-wide", "consensus-full"])
+def test_benchmark_reference_replication_bytes(workload, tmp_path,
+                                               monkeypatch):
+    # the benchmark's reference-seed replication of each workload, as
+    # bytes against perfbench/reference.json (perfbench's own tests cover
+    # exchange-narrow)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    template = workloads.template_spec(workloads.WORKLOADS[workload])
+    digest = workloads.reference_digest(template, tmp_path / "rows.csv")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(
+        encoding="utf-8"))
+    assert digest == reference[workload]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ def test_build_links_requires_triplets(rng):
         build_links(topo, cfg, np.ones((0, 2, 2)))
 
 
+def test_build_links_rejects_non_finite_gain(rng):
+    # a weak receiver placed on its transmitter: d = 0 gives d^-4 = inf,
+    # outside the rate kernel's domain
+    cfg = small_config()
+    topo = grid_topology(9, rng=rng, triplets=((0, 1, 2),))
+    topo.distance_matrix[0, 2] = topo.distance_matrix[2, 0] = 0.0
+    with np.errstate(divide="ignore"), pytest.raises(SchedulerError):
+        build_links(topo, cfg, np.ones((1, 2, 2)))
+
+
 def test_vectorized_times_match_scalar_kernels(rng):
     links = random_links(rng, 4, 3)
     for a_s in (0.1, 0.5, 0.83):
@@ -94,6 +104,55 @@ def test_degenerate_splits_give_infinite_times(rng):
     links = random_links(rng, 2, 2)
     assert np.all(np.isinf(noma_times(links, 0.0)))  # strong leg starves
     assert np.all(np.isinf(noma_times(links, 1.0)))  # weak leg starves
+
+
+def _noma_leg_times_reference(links, alpha_strong):
+    """The rate kernel with explicit zero-rate guards and finiteness
+    clean-ups, on fresh temporaries."""
+    a_i, a_j = alpha_strong, 1.0 - alpha_strong
+    p, s2, b, l = (links.tx_power_w, links.noise_w,
+                   links.bandwidth_hz, links.payload_bits)
+    gs, gw = links.gain_strong, links.gain_weak
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_strong = b * np.log2(1.0 + gs * a_i * p / (gs * a_j * p + s2))
+        r_weak = b * np.log2(1.0 + gw * a_j * p / s2)
+        r_alone = b * np.log2(1.0 + gs * a_i * p / s2)
+        t_weak = np.where(r_weak > 0, l / r_weak, np.inf)
+        direct = np.where(r_strong > 0, l / r_strong, np.inf)
+        residual = np.where(r_alone > 0,
+                            t_weak + (l - r_strong * t_weak) / r_alone, np.inf)
+        t_strong = np.where(direct <= t_weak, direct, residual)
+    t_strong = np.where(np.isfinite(t_strong), t_strong, np.inf)
+    t_weak = np.where(np.isfinite(t_weak), t_weak, np.inf)
+    return t_strong, t_weak
+
+
+def test_kernel_equals_guarded_reference_bitwise():
+    # zero gains on either leg, the starving splits 0 and 1, scalar and
+    # (A, 1, 1) splits, and T != N
+    rng = np.random.default_rng(47)
+    checked = 0
+    for i in range(300):
+        num_t, num_s = (int(n) for n in rng.integers(1, 12, size=2))
+        links = random_links(rng, num_t, num_s)
+        gs, gw = links.gain_strong, links.gain_weak
+        if i % 3 == 1:
+            gw[rng.random(gw.shape) < 0.3] = 0.0
+        elif i % 3 == 2:
+            zero = rng.random(gs.shape) < 0.3
+            gs[zero] = gw[zero] = 0.0
+        step = (0.0025, 0.05, 0.25, 1.0)[i % 4]
+        splits = [alpha_grid(step)[:, None, None], 0.0, 1.0,
+                  float(rng.uniform())]
+        for alpha in splits:
+            got = noma_leg_times(links, alpha)
+            want = _noma_leg_times_reference(links, alpha)
+            for leg, ref in zip(got, want):
+                assert leg.shape == ref.shape
+                assert np.array_equal(leg.view(np.uint64),
+                                      ref.view(np.uint64))
+                checked += leg.size
+    assert checked > 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +321,42 @@ def _swap_matching_round_reference(assignment, times, stats=None):
     return Assignment(sb_to_triplet=dict(sorted(best[1].items())))
 
 
+def _swap_start(rng, i):
+    """Times and a starting matching for the swap-step comparison. The
+    start kind, (i // 4) mod 6, is independent of _random_times' kind,
+    i mod 4, so each start meets every kind of times: a stable or a
+    random matching (either may leave sub-bands idle); several matched
+    pairs tied at the maximum; an infinite maximum; a matching smaller
+    than both sides."""
+    times = _random_times(rng, i)
+    num_t, num_s = times.shape
+    size = min(num_t, num_s)
+    case = (i // 4) % 6
+    if case == 3:
+        size = int(rng.integers(0, size + 1))
+    if case == 0:
+        return times, stable_marriage(*build_preferences(times))
+    cur = Assignment(sb_to_triplet=dict(sorted(zip(
+        rng.permutation(num_s)[:size].tolist(),
+        rng.permutation(num_t)[:size].tolist()))))
+    pairs = [(t, s) for s, t in cur.sb_to_triplet.items()]
+    if pairs and case == 4:
+        # ties at the maximum, among the matched pairs and off them
+        top = max(times[np.isfinite(times)].tolist(), default=1.0)
+        for t, s in pairs[:int(rng.integers(1, len(pairs) + 1))]:
+            times[t, s] = top
+        times[rng.random(times.shape) < 0.2] = top
+    elif pairs and case == 5:
+        t, s = pairs[int(rng.integers(len(pairs)))]
+        times[t, s] = np.inf
+    return times, cur
+
+
 def test_swap_step_equals_rescanning_reference():
     rng = np.random.default_rng(2025)
     steps = 0
-    for i in range(1200):
-        times = _random_times(rng, i)
-        num_t, num_s = times.shape
-        size = min(num_t, num_s)
-        if i % 3:
-            # a random partial matching, to start far from a fixed point
-            cur = Assignment(sb_to_triplet=dict(sorted(zip(
-                rng.permutation(num_s)[:size].tolist(),
-                rng.permutation(num_t)[:size].tolist()))))
-        else:
-            cur = stable_marriage(*build_preferences(times))
+    for i in range(1800):
+        times, cur = _swap_start(rng, i)
         ref = cur
         stats, ref_stats = SwapStats(), SwapStats()
         for _ in range(30):
@@ -288,7 +369,7 @@ def test_swap_step_equals_rescanning_reference():
             if new.sb_to_triplet == cur.sb_to_triplet:
                 break
             cur, ref = new, ref_new
-    assert steps > 3000
+    assert steps > 4500
 
 
 def test_swap_exchange_improving_both_is_applied():
