@@ -76,7 +76,6 @@ def _run(args) -> int:
 
 def _validate(args) -> int:
     config = load_config(args.scenario)
-    config.validate()
     print(f"{args.scenario}: ok "
           f"(K={config.num_nodes}, N={config.num_subbands})")
     return 0

@@ -7,13 +7,14 @@ by the same completion time, so a greedy walk over the pairs in
 ascending time computes it. In a swap, two matched triplets exchange
 sub-bands when neither's completion time worsens and at least one
 strictly improves; a matched triplet may also relocate to an idle
-sub-band when that strictly helps it. Because sub-bands are orthogonal
-and the co-receiver coupling is internal to each triplet, untouched
-triplets are unaffected by a swap. So only the candidates that move the
-bottleneck triplet can lower the round's maximum: a swap step prices
-those n - 1 exchanges and relocations, and finds any other winner, which
-can only be a Pareto move, by a comparison-only scan of at most
-n(n-1)/2 exchanges.
+sub-band when that strictly helps it. The swap loop keeps the matching
+as an owner list, the triplet on each sub-band or None, and every move
+swaps two owners. Because sub-bands are orthogonal and the co-receiver
+coupling is internal to each triplet, untouched triplets are unaffected
+by a swap. So only the moves of the bottleneck triplet can lower the
+round's maximum: a swap step prices those n - 1 exchanges and
+relocations and takes the first that lowers the maximum most, and
+failing that, the first Pareto move in enumeration order.
 
 The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
@@ -129,132 +130,88 @@ class SwapStats:
     candidate_swaps_per_iteration: list[int] = field(default_factory=list)
 
 
-def swap_matching_round(assignment: Assignment, times: np.ndarray,
-                        stats: SwapStats | None = None) -> Assignment:
-    """Apply the best admissible swap, or return the input unchanged.
+def swap_until_stable(assignment: Assignment, times: np.ndarray,
+                      max_iters: int) -> tuple[Assignment, SwapStats]:
+    """Apply the best admissible swap until none is left or the cap is hit.
 
-    Candidates are sub-band exchanges between two matched triplets and
-    relocations of a matched triplet to an idle sub-band. A candidate is
-    admissible when it helps some involved triplet without hurting the
-    other (Pareto), or when it strictly lowers the round's maximum
-    per-sub-band time (the matching-level utility); the admissible
-    candidate minimizing that maximum wins, ties broken by enumeration
-    order (ascending indices, exchanges before relocations). The round
-    maximum never increases, so the swap sequence terminates.
+    The loop runs on ``owner``, where ``owner[s]`` is the triplet on
+    sub-band s or None when s is idle; a move swaps two owners. It is an
+    exchange between two matched triplets, or a relocation of a matched
+    triplet to an idle sub-band. A move is admissible when it helps some
+    involved triplet without hurting the other (Pareto), or when it
+    strictly lowers the round's maximum per-sub-band time; the
+    admissible move minimizing that maximum wins, ties broken by
+    enumeration order (ascending sub-bands, exchanges before
+    relocations). The maximum never increases, so the loop terminates.
 
-    Only the candidates that touch the bottleneck pair k (the first
-    matched pair at the maximum) are priced. Any other candidate leaves
-    k in place, so its result is at least the current maximum; it is
-    admissible only as a Pareto move, and then its result is exactly
-    that maximum. Such a candidate can therefore win only as the
-    earliest admissible one, and only when no k-candidate strictly
-    lowers the maximum: a comparison-only scan finds it, stopping at the
-    best k-candidate in enumeration order. A step costs O(n + idle) to
-    price and at most O(n^2) comparisons to scan.
+    A move that leaves the bottleneck pair k (the first matched pair at
+    the maximum) in place cannot lower the maximum, and if Pareto it
+    keeps it. So a step first prices only k's moves and takes the first
+    that lowers the maximum most; failing that, every admissible move
+    keeps the maximum, and the first Pareto move wins.
     """
-    matched = sorted(assignment.sb_to_triplet.items())  # (sb, triplet)
-    n = len(matched)
-    if stats is not None:
+    rows = times.tolist()
+    owner: list[int | None] = [None] * times.shape[1]
+    for s, t in assignment.sb_to_triplet.items():
+        owner[s] = t
+    n = len(assignment.sb_to_triplet)
+    stats = SwapStats()
+    for _ in range(max_iters):
         stats.iterations += 1
         stats.candidate_swaps_per_iteration.append(n * (n - 1) // 2)
-    if not n:
-        return assignment
-    rows = times.tolist()
-    idle = [s for s in range(times.shape[1])
-            if s not in assignment.sb_to_triplet]
-    current = [rows[t][s] for s, t in matched]
+        move = _best_move(rows, owner)
+        if move is None:
+            break
+        s1, s2 = move
+        owner[s1], owner[s2] = owner[s2], owner[s1]
+        stats.accepted_swaps += 1
+    new = Assignment(sb_to_triplet={s: t for s, t in enumerate(owner)
+                                    if t is not None})
+    new.check()
+    return new, stats
+
+
+def _best_move(rows, owner):
+    """The winning move (s1, s2) of one swap step, or None."""
+    matched = [s for s, t in enumerate(owner) if t is not None]
+    if not matched:
+        return None
+    idle = [s for s, t in enumerate(owner) if t is None]
+    current = [rows[owner[s]][s] for s in matched]
+    n = len(matched)
     top = sorted(range(n), key=current.__getitem__, reverse=True)[:3]
-    k, current_max = top[0], current[top[0]]
-    # the maximum over the pairs that a k-candidate leaves alone
+    k, best = top[0], current[top[0]]
+    # the maximum over the pairs that a move of k leaves alone
     second = current[top[1]] if n > 1 else 0.0
     third = current[top[2]] if n > 2 else 0.0
-
-    s_k, t_k = matched[k]
-    row_k = rows[t_k]
-    # (resulting_max, key, to_sb); keys sort in enumeration order:
-    # (0, a, b) for an exchange, (1, a, j) for a relocation to idle[j]
-    best = None
-    for b, (s2, t2) in enumerate(matched):
-        if b == k:
-            continue
-        new1, new2, old2 = row_k[s2], rows[t2][s_k], current[b]
-        pareto = (new1 <= current_max and new2 <= old2
-                  and (new1 < current_max or new2 < old2))
-        result = max(third if b == top[1] else second, new1, new2)
-        if not pareto and not result < current_max:
-            continue
-        if best is None or result < best[0]:
-            best = (result, (0, min(b, k), max(b, k)), s2)
-    for j, s_idle in enumerate(idle):
-        new1 = row_k[s_idle]
-        result = max(second, new1)
-        if not new1 < current_max and not result < current_max:
-            continue
-        if best is None or result < best[0]:
-            best = (result, (1, k, j), s_idle)
-
-    assert best is None or best[0] <= current_max  # utility never degrades
-    move = None if best is None else (s_k, best[2])
-    if best is None or best[0] == current_max:
-        # every admissible candidate ties at the maximum: the earliest wins
-        stop = (2,) if best is None else best[1]
-        move = _first_pareto_move(rows, matched, current, idle, k,
-                                  stop) or move
-    if move is None:
-        return assignment
-    if stats is not None:
-        stats.accepted_swaps += 1
-    s1, s2 = move
-    mapping = dict(assignment.sb_to_triplet)
-    t1, t2 = mapping.pop(s1), mapping.pop(s2, None)
-    mapping[s2] = t1
-    if t2 is not None:
-        mapping[s1] = t2
-    new = Assignment(sb_to_triplet=dict(sorted(mapping.items())))
-    new.check()
-    return new
-
-
-def _first_pareto_move(rows, matched, current, idle, k: int,
-                       stop: tuple):
-    """(from_sb, to_sb) of the earliest Pareto candidate that leaves pair
-    k alone and whose key comes before ``stop`` in enumeration order."""
-    for a, (s1, t1) in enumerate(matched):
-        if a == k:
-            continue
-        row1, old1 = rows[t1], current[a]
-        for b in range(a + 1, len(matched)):
-            if (0, a, b) >= stop:
-                return None
-            if b == k:
-                continue
-            s2, t2 = matched[b]
-            new1, new2, old2 = row1[s2], rows[t2][s1], current[b]
+    s_k = matched[k]
+    row_k, move = rows[owner[s_k]], None
+    for b, s2 in enumerate(matched):
+        if b != k:
+            result = max(third if b == top[1] else second, row_k[s2],
+                         rows[owner[s2]][s_k])
+            if result < best:
+                best, move = result, (s_k, s2)
+    for s2 in idle:
+        result = max(second, row_k[s2])
+        if result < best:
+            best, move = result, (s_k, s2)
+    if move is not None:
+        return move
+    for a, s1 in enumerate(matched):
+        row1, old1 = rows[owner[s1]], current[a]
+        for b in range(a + 1, n):
+            s2 = matched[b]
+            new1, new2, old2 = row1[s2], rows[owner[s2]][s1], current[b]
             if (new1 <= old1 and new2 <= old2
                     and (new1 < old1 or new2 < old2)):
                 return s1, s2
-    for a, (s1, t1) in enumerate(matched):
-        if a == k:
-            continue
-        old1 = current[a]
-        for j, s_idle in enumerate(idle):
-            if (1, a, j) >= stop:
-                return None
-            if rows[t1][s_idle] < old1:
-                return s1, s_idle
+    for a, s1 in enumerate(matched):
+        row1, old1 = rows[owner[s1]], current[a]
+        for s2 in idle:
+            if row1[s2] < old1:
+                return s1, s2
     return None
-
-
-def swap_until_stable(assignment: Assignment, times: np.ndarray,
-                      max_iters: int) -> tuple[Assignment, SwapStats]:
-    """Iterate swap_matching_round to a fixed point or the iteration cap."""
-    stats = SwapStats()
-    for _ in range(max_iters):
-        new = swap_matching_round(assignment, times, stats)
-        if new.sb_to_triplet == assignment.sb_to_triplet:
-            break
-        assignment = new
-    return assignment, stats
 
 
 # ---------------------------------------------------------------------------

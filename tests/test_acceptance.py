@@ -26,7 +26,7 @@ from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
 from udnsync.scheduler import (Assignment, _partition_rounds, build_links,
                                build_preferences, grid_search_alpha,
                                schedule_exchange, stable_marriage,
-                               swap_matching_round, swap_until_stable)
+                               swap_until_stable)
 from udnsync.topology import init_clocks, place_nodes
 
 
@@ -210,7 +210,7 @@ def test_criterion_07_swap_sequence_is_monotone_and_stable(scheduling_corpus):
             assignment = stable_marriage(prefs, ranks)
             maxima = [assignment.max_time(times)]
             for _ in range(cap):
-                new = swap_matching_round(assignment, times)
+                new, _ = swap_until_stable(assignment, times, max_iters=1)
                 if new.sb_to_triplet == assignment.sb_to_triplet:
                     break
                 assignment = new

@@ -16,8 +16,7 @@ from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
 from udnsync.scheduler import (Assignment, SchedulerError, build_links,
                                build_preferences, grid_search_alpha,
                                schedule_exchange, stable_marriage,
-                               swap_matching_round, swap_until_stable,
-                               SwapStats)
+                               swap_until_stable, SwapStats)
 from udnsync.topology import Topology, place_nodes
 
 
@@ -358,9 +357,9 @@ def test_swap_step_equals_rescanning_reference():
     for i in range(1800):
         times, cur = _swap_start(rng, i)
         ref = cur
-        stats, ref_stats = SwapStats(), SwapStats()
         for _ in range(30):
-            new = swap_matching_round(cur, times, stats)
+            new, stats = swap_until_stable(cur, times, max_iters=1)
+            ref_stats = SwapStats()
             ref_new = _swap_matching_round_reference(ref, times, ref_stats)
             steps += 1
             assert list(new.sb_to_triplet.items()) == list(
@@ -372,20 +371,45 @@ def test_swap_step_equals_rescanning_reference():
     assert steps > 4500
 
 
+def _swap_loop_reference(assignment, times, max_iters):
+    stats = SwapStats()
+    for _ in range(max_iters):
+        new = _swap_matching_round_reference(assignment, times, stats)
+        if new.sb_to_triplet == assignment.sb_to_triplet:
+            break
+        assignment = new
+    return assignment, stats
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 100])
+def test_swap_loop_equals_reference_loop_under_cap(cap):
+    # the loop stops at a fixed point or after `cap` steps, counting
+    # every step it prices, the final no-move step included
+    rng = np.random.default_rng(2026)
+    for i in range(600):
+        times, start = _swap_start(rng, i)
+        out, stats = swap_until_stable(start, times, cap)
+        ref, ref_stats = _swap_loop_reference(start, times, cap)
+        assert list(out.sb_to_triplet.items()) == list(
+            ref.sb_to_triplet.items())
+        assert stats == ref_stats
+
+
 def test_swap_exchange_improving_both_is_applied():
     times = np.array([[1.0, 5.0, 9.0],
                       [5.0, 1.0, 9.0],
                       [9.0, 9.0, 1.0]])
     start = Assignment(sb_to_triplet={0: 1, 1: 0, 2: 2})
-    out = swap_matching_round(start, times)
+    out, _ = swap_until_stable(start, times, max_iters=1)
     assert out.sb_to_triplet == {0: 0, 1: 1, 2: 2}
 
 
 def test_swap_fixed_point_returned_unchanged():
     times = np.array([[1.0, 9.0], [9.0, 1.0]])
     start = Assignment(sb_to_triplet={0: 0, 1: 1})
-    out = swap_matching_round(start, times)
-    assert out is start
+    out, stats = swap_until_stable(start, times, max_iters=1)
+    assert out.sb_to_triplet == start.sb_to_triplet
+    assert stats.accepted_swaps == 0
 
 
 def test_swap_rejects_degradation_that_raises_round_max():
@@ -394,7 +418,7 @@ def test_swap_rejects_degradation_that_raises_round_max():
     times = np.array([[5.0, 1.0],
                       [6.0, 2.0]])
     start = Assignment(sb_to_triplet={0: 0, 1: 1})
-    out = swap_matching_round(start, times)
+    out, _ = swap_until_stable(start, times, max_iters=1)
     assert out.sb_to_triplet == {0: 0, 1: 1}
 
 
@@ -403,14 +427,14 @@ def test_swap_accepts_degradation_that_lowers_round_max():
     times = np.array([[5.0, 1.0],
                       [3.0, 2.0]])
     start = Assignment(sb_to_triplet={0: 0, 1: 1})
-    out = swap_matching_round(start, times)
+    out, _ = swap_until_stable(start, times, max_iters=1)
     assert out.sb_to_triplet == {0: 1, 1: 0}
 
 
 def test_relocation_to_idle_subband():
     times = np.array([[5.0, 1.0, 3.0]])
     start = Assignment(sb_to_triplet={0: 0})
-    out = swap_matching_round(start, times)
+    out, _ = swap_until_stable(start, times, max_iters=1)
     assert out.sb_to_triplet == {1: 0}
 
 
@@ -420,8 +444,7 @@ def test_candidate_exchange_count_is_pairs_of_matched():
         times = rng.uniform(1.0, 9.0, size=(num_t, num_s))
         prefs, ranks = build_preferences(times)
         start = stable_marriage(prefs, ranks)
-        stats = SwapStats()
-        swap_matching_round(start, times, stats)
+        _, stats = swap_until_stable(start, times, max_iters=1)
         matched = len(start.sb_to_triplet)
         assert stats.candidate_swaps_per_iteration == [
             matched * (matched - 1) // 2]
@@ -438,14 +461,15 @@ def test_swap_loop_monotone_and_terminates(rng):
         maxima = [start.max_time(times)]
         cur = start
         for _ in range(100):
-            new = swap_matching_round(cur, times)
+            new, _ = swap_until_stable(cur, times, max_iters=1)
             if new.sb_to_triplet == cur.sb_to_triplet:
                 break
             cur = new
             maxima.append(cur.max_time(times))
         assert all(a >= b for a, b in zip(maxima, maxima[1:]))
         # fixed point: a further call changes nothing
-        assert swap_matching_round(cur, times).sb_to_triplet == cur.sb_to_triplet
+        again, _ = swap_until_stable(cur, times, max_iters=1)
+        assert again.sb_to_triplet == cur.sb_to_triplet
 
 
 def test_swap_until_stable_respects_cap(rng):
@@ -707,5 +731,5 @@ def test_swap_stable_rounds_near_brute_force_optimum():
         opt = brute_force_round_optimum(times, members)
         assert rnd.round_max >= opt - 1e-15
         # stability: a further swap pass changes nothing
-        again = swap_matching_round(rnd.assignment, times)
+        again, _ = swap_until_stable(rnd.assignment, times, max_iters=1)
         assert again.sb_to_triplet == rnd.assignment.sb_to_triplet
