@@ -12,8 +12,8 @@ Two coupled phases are modeled:
 """
 
 from udnsync.config import SimConfig, FadingSpec, dbm_to_watts
-from udnsync.topology import Topology, place_nodes, init_clocks
-from udnsync.consensus import ClockState, SyncTrace, run_sync
+from udnsync.topology import Topology, place_nodes
+from udnsync.consensus import ClockState, SyncTrace, init_clocks, run_sync
 from udnsync.scheduler import ScheduleOutcome, schedule_exchange
 
 __all__ = [

@@ -190,11 +190,3 @@ def parse_config_text(text: str) -> SimConfig:
 
 def load_config(path: str | Path) -> SimConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
-def alpha_grid(step: float):
-    """Inclusive power-split grid {0, step, ..., 1}."""
-    import numpy as np
-
-    n = round(1.0 / step)
-    return np.linspace(0.0, 1.0, n + 1)

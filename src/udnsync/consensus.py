@@ -1,4 +1,4 @@
-"""Snapshot/iteration clock-alignment loop.
+"""The clock model (``ClockState``, ``init_clocks``) and the alignment loop.
 
 Each snapshot repeatedly redraws fading, rebuilds the interference
 graph, and applies a weighted-averaging clock update until the timing
@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+# run_snapshot calls channel.sample_interference_gains through the module,
+# so a rebinding of that attribute (a tracing hook) is seen on every call
+from udnsync import channel
 from udnsync.config import SimConfig
 from udnsync.graph import InterferenceGraph, build_graph, path_gain
+from udnsync.topology import Topology
 
-if TYPE_CHECKING:
-    from udnsync.topology import Topology
+REFERENCE_TEMP_C = 25.0  # TCXO turnover temperature
 
 
 class ConsensusError(ValueError):
@@ -49,6 +51,20 @@ class ClockState:
         ``in_mask`` keeps exactly the bidirectional pairs.
         """
         self.memory = graph.adjacency.T * graph.in_mask
+
+
+def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
+    """Draw initial clock offsets and temperature-driven skews.
+
+    Offsets are uniform on [0, init_offset_max] seconds. Each node's
+    skew follows the quadratic TCXO model beta * (T - 25)^2 ppm with the
+    node temperature uniform over the configured range.
+    """
+    k = config.num_nodes
+    offsets = rng.uniform(0.0, config.init_offset_max, size=k)
+    temps = rng.uniform(config.temp_range_c[0], config.temp_range_c[1], size=k)
+    skews = config.temp_coeff_ppm_c2 * (temps - REFERENCE_TEMP_C) ** 2
+    return ClockState(times=offsets, skews_ppm=skews)
 
 
 @dataclass
@@ -94,6 +110,8 @@ def timing_sd(times: np.ndarray) -> float:
 
 def _apply_weights(times: np.ndarray, weights: np.ndarray,
                    eps: float) -> np.ndarray:
+    if not 0.0 < eps < 1.0:
+        raise ConsensusError("step size must lie in (0, 1)")
     # Jacobi-style: every node reads the frozen pre-update vector
     return times + eps * (weights @ times - weights.sum(axis=1) * times)
 
@@ -101,8 +119,6 @@ def _apply_weights(times: np.ndarray, weights: np.ndarray,
 def update_baseline(state: ClockState, graph: InterferenceGraph,
                     eps: float) -> np.ndarray:
     """RSSI-only update: t_k += eps * sum_j a_kj (t_j - t_k)."""
-    if not 0.0 < eps < 1.0:
-        raise ConsensusError("step size must lie in (0, 1)")
     return _apply_weights(state.times, graph.adjacency, eps)
 
 
@@ -124,8 +140,6 @@ def proposed_weights(state: ClockState,
 def update_proposed(state: ClockState, graph: InterferenceGraph,
                     eps: float) -> np.ndarray:
     """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k)."""
-    if not 0.0 < eps < 1.0:
-        raise ConsensusError("step size must lie in (0, 1)")
     return _apply_weights(state.times, proposed_weights(state, graph), eps)
 
 
@@ -139,27 +153,22 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
     """
-    from udnsync.channel import sample_interference_gains
-
     if config.max_iters < 1:
         raise ConsensusError("no iteration budget")
     if rule not in ("proposed", "baseline"):
         raise ConsensusError(f"unknown update rule {rule!r}")
     update = update_proposed if rule == "proposed" else update_baseline
     sds = []
-    graph = None
     for _ in range(config.max_iters):
-        fading = sample_interference_gains(config, rng)
+        fading = channel.sample_interference_gains(config, rng)
         graph = build_graph(config.tx_power_w, gain, fading,
                             config.power_threshold_w)
         state.times = update(state, graph, config.step_size)
         sd = timing_sd(state.times)
         sds.append(sd)
-        if sd <= config.sd_tolerance:
+        diverged = not np.isfinite(sd) or sd > DIVERGENCE_SD_S
+        if sd <= config.sd_tolerance or diverged:
             break
-        if not np.isfinite(sd) or sd > DIVERGENCE_SD_S:
-            break
-    diverged = not np.isfinite(sds[-1]) or sds[-1] > DIVERGENCE_SD_S
     iterations = config.max_iters if diverged else len(sds)
     converged = sds[-1] <= config.sd_tolerance
     state.remember(graph)
@@ -169,7 +178,7 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
                           iterations_used=iterations, converged=converged)
 
 
-def run_sync(config: SimConfig, topology: "Topology",
+def run_sync(config: SimConfig, topology: Topology,
              rng: np.random.Generator, rule: str = "proposed") -> SyncTrace:
     """Run T_max snapshots and aggregate iteration counts.
 
@@ -177,12 +186,9 @@ def run_sync(config: SimConfig, topology: "Topology",
     snapshot, standing in for an initially synchronized exchange. The
     path gain is computed once here and shared by every iteration.
     """
-    from udnsync.channel import sample_interference_gains
-    from udnsync.topology import init_clocks
-
     state = init_clocks(config, rng)
     gain = path_gain(topology, config.path_loss_exp)
-    fading = sample_interference_gains(config, rng)
+    fading = channel.sample_interference_gains(config, rng)
     state.remember(build_graph(config.tx_power_w, gain, fading,
                                config.power_threshold_w))
     trace = SyncTrace(iter_period=config.iter_period)

@@ -10,12 +10,10 @@ Isolated nodes keep an all-zero row and simply hold their clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from udnsync.topology import Topology
+from udnsync.topology import Topology
 
 
 class GraphError(ValueError):
@@ -52,7 +50,7 @@ def _threshold(power: np.ndarray, p0: float) -> InterferenceGraph:
                              adjacency=adjacency)
 
 
-def path_gain(topology: "Topology", path_loss_exp: float) -> np.ndarray:
+def path_gain(topology: Topology, path_loss_exp: float) -> np.ndarray:
     """Pairwise d^-alpha; zero on the diagonal. Fixed for a topology."""
     dist = topology.distance_matrix
     return np.where(dist > 0, dist, np.inf) ** -path_loss_exp

@@ -80,8 +80,8 @@ class ResultRow:
     error: str = ""
 
 
-def _replicate(config: SimConfig, rng: np.random.Generator) -> dict:
-    """One replication; returns the per-run metrics."""
+def _replicate(config: SimConfig, rng: np.random.Generator) -> tuple:
+    """One replication: (cf, n_avg, algorithmic_time, delay_noma, delay_oma)."""
     topology = place_nodes(config, rng)
     gains = sample_interference_gains(config, rng)
     graph = build_graph(config.tx_power_w,
@@ -90,13 +90,8 @@ def _replicate(config: SimConfig, rng: np.random.Generator) -> dict:
     cf = connectivity_factor(graph)
     trace = run_sync(config, topology, rng)
     noma, oma = schedule_exchange(topology, config, rng)
-    return {
-        "cf": cf,
-        "n_avg": trace.mean_iterations,
-        "algorithmic_time": trace.algorithmic_time,
-        "delay_noma": noma.exchange_delay_total,
-        "delay_oma": oma.exchange_delay_total,
-    }
+    return (cf, trace.mean_iterations, trace.algorithmic_time,
+            noma.exchange_delay_total, oma.exchange_delay_total)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -112,24 +107,20 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     for value, point_seed in zip(spec.sweep_values, point_seeds):
         try:
             config = spec.config_at(value)
-            runs = []
-            for child in point_seed.spawn(spec.replications):
-                runs.append(_replicate(config, np.random.default_rng(child)))
-            runs.sort(key=lambda r: tuple(r.values()))  # order-independent
-            algo = float(np.mean([r["algorithmic_time"] for r in runs]))
-            d_noma = float(np.mean([r["delay_noma"] for r in runs]))
-            d_oma = float(np.mean([r["delay_oma"] for r in runs]))
-            t_noma = np.array([r["algorithmic_time"] + r["delay_noma"]
-                               for r in runs])
-            t_oma = np.array([r["algorithmic_time"] + r["delay_oma"]
-                              for r in runs])
+            runs = sorted(  # order-independent
+                _replicate(config, np.random.default_rng(child))
+                for child in point_seed.spawn(spec.replications))
+            columns = np.array(runs).T  # one row per _replicate field
+            cf, n_avg, algo, d_noma, d_oma = (float(c.mean()) for c in columns)
+            t_noma = columns[2] + columns[3]  # algorithmic + exchange time
+            t_oma = columns[2] + columns[4]
             n = len(runs)
             ci = lambda x: (1.96 * float(x.std(ddof=1)) / math.sqrt(n)
                             if n > 1 else 0.0)
             rows.append(ResultRow(
                 sweep_value=float(value),
-                cf_mean=float(np.mean([r["cf"] for r in runs])),
-                n_avg=float(np.mean([r["n_avg"] for r in runs])),
+                cf_mean=cf,
+                n_avg=n_avg,
                 algorithmic_time=algo,
                 exchange_delay_noma=d_noma,
                 exchange_delay_oma=d_oma,

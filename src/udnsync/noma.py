@@ -113,11 +113,10 @@ def oma_leg_times(links: RoundLinks):
     """Equal-share orthogonal legs at full power, per (triplet, sub-band)."""
     p, s2, b, l = (links.tx_power_w, links.noise_w,
                    links.bandwidth_hz, links.payload_bits)
+    # a zero rate gives an infinite leg
     with np.errstate(divide="ignore"):
-        r_strong = b * np.log2(1.0 + links.gain_strong * p / s2)
-        r_weak = b * np.log2(1.0 + links.gain_weak * p / s2)
-        t_strong = np.where(r_strong > 0, 2.0 * l / r_strong, np.inf)
-        t_weak = np.where(r_weak > 0, 2.0 * l / r_weak, np.inf)
+        t_strong = 2.0 * l / _shannon(links.gain_strong * p / s2, b)
+        t_weak = 2.0 * l / _shannon(links.gain_weak * p / s2, b)
     return t_strong, t_weak
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from udnsync.channel import noise_power, sample_link_gains
-from udnsync.config import SimConfig, alpha_grid
+from udnsync.config import SimConfig
 from udnsync.noma import (RoundLinks, noma_leg_times, noma_times,
                           oma_leg_times, oma_times)
 from udnsync.topology import Topology
@@ -281,6 +281,12 @@ def _min_over(tensor: np.ndarray, axis: int) -> np.ndarray:
     for part in slices[1:]:
         np.minimum(out, part, out=out)
     return out
+
+
+def alpha_grid(step: float) -> np.ndarray:
+    """Inclusive power-split grid {0, step, ..., 1}."""
+    n = round(1.0 / step)
+    return np.linspace(0.0, 1.0, n + 1)
 
 
 def grid_search_alpha(links: RoundLinks, config: SimConfig,

@@ -1,4 +1,4 @@
-"""Node geometry, TX-RX triplets, and initial clock state.
+"""Node geometry and TX-RX triplets.
 
 The layout is a two-tier structure: each transmitter is dropped in a
 circular region, its strong receiver within ``near_radius_m`` of it and
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from udnsync.config import SimConfig
-from udnsync.consensus import ClockState
-
-REFERENCE_TEMP_C = 25.0  # TCXO turnover temperature
 
 
 class TopologyError(ValueError):
@@ -67,17 +64,3 @@ def place_nodes(config: SimConfig, rng: np.random.Generator) -> Topology:
     dist = np.sqrt((diff ** 2).sum(axis=2))
     return Topology(positions=positions, distance_matrix=dist,
                     triplets=tuple(triplets))
-
-
-def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
-    """Draw initial clock offsets and temperature-driven skews.
-
-    Offsets are uniform on [0, init_offset_max] seconds. Each node's
-    skew follows the quadratic TCXO model beta * (T - 25)^2 ppm with the
-    node temperature uniform over the configured range.
-    """
-    k = config.num_nodes
-    offsets = rng.uniform(0.0, config.init_offset_max, size=k)
-    temps = rng.uniform(config.temp_range_c[0], config.temp_range_c[1], size=k)
-    skews = config.temp_coeff_ppm_c2 * (temps - REFERENCE_TEMP_C) ** 2
-    return ClockState(times=offsets, skews_ppm=skews)

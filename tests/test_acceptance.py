@@ -17,7 +17,8 @@ import pytest
 from conftest import grid_topology, has_blocking_pair
 from udnsync.channel import sample_interference_gains, sample_link_gains
 from udnsync.config import FadingSpec, SimConfig
-from udnsync.consensus import run_sync, timing_sd, update_proposed
+from udnsync.consensus import (init_clocks, run_sync, timing_sd,
+                               update_proposed)
 from udnsync.graph import build_graph, path_gain
 from udnsync.harness import ExperimentSpec, run_experiment
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
@@ -27,7 +28,7 @@ from udnsync.scheduler import (Assignment, _partition_rounds, build_links,
                                build_preferences, grid_search_alpha,
                                schedule_exchange, stable_marriage,
                                swap_until_stable)
-from udnsync.topology import init_clocks, place_nodes
+from udnsync.topology import place_nodes
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

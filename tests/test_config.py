@@ -6,8 +6,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from udnsync.config import (ConfigError, FadingSpec, SimConfig, alpha_grid,
-                            dbm_to_watts, parse_config_text)
+from udnsync.config import (ConfigError, FadingSpec, SimConfig, dbm_to_watts,
+                            parse_config_text)
+from udnsync.scheduler import alpha_grid
 
 
 def test_dbm_to_watts_known_points():

@@ -8,12 +8,12 @@ import pytest
 from conftest import grid_topology, small_config
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
-from udnsync.consensus import (ClockState, ConsensusError, run_snapshot,
-                               run_sync, timing_sd, update_baseline,
-                               update_proposed)
+from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
+                               run_snapshot, run_sync, timing_sd,
+                               update_baseline, update_proposed)
 from udnsync.graph import build_graph, graph_from_powers, path_gain
 from udnsync.harness import preset
-from udnsync.topology import init_clocks, place_nodes
+from udnsync.topology import place_nodes
 
 
 def make_graph(cfg, topo, rng):

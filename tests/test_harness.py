@@ -4,15 +4,17 @@ import csv
 import importlib
 import json
 import math
+import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from udnsync.cli import main
 from udnsync.config import FadingSpec, SimConfig
 from udnsync.harness import (CSV_COLUMNS, ExperimentSpec, HarnessError,
-                             PRESETS, ResultRow, emit_csv, preset, read_csv,
-                             run_experiment)
+                             PRESETS, ResultRow, _replicate, emit_csv, preset,
+                             read_csv, run_experiment)
 from udnsync.plotting import PlotError, emit_plot
 
 
@@ -67,6 +69,31 @@ def test_failing_sweep_point_yields_error_row():
     assert rows[0].error == ""
     assert rows[1].error != ""
     assert math.isnan(rows[1].t_sync_noma)
+
+
+def test_row_aggregates_the_replications():
+    spec = tiny_spec(sweep_values=(-110.0, -80.0), replications=4)
+    rows = run_experiment(spec)
+    point_seeds = np.random.SeedSequence(spec.base_config.rng_seed).spawn(2)
+    for row, value, point_seed in zip(rows, spec.sweep_values, point_seeds):
+        config = spec.config_at(value)
+        runs = [_replicate(config, np.random.default_rng(child))
+                for child in point_seed.spawn(4)]
+        cf, n_avg, algo, d_noma, d_oma = map(statistics.fmean, zip(*runs))
+        t_noma = [r[2] + r[3] for r in runs]
+        t_oma = [r[2] + r[4] for r in runs]
+        half = lambda xs: 1.96 * statistics.stdev(xs) / math.sqrt(4)
+        expected = {
+            "cf_mean": cf, "n_avg": n_avg, "algorithmic_time": algo,
+            "exchange_delay_noma": d_noma, "exchange_delay_oma": d_oma,
+            "t_sync_noma": algo + d_noma, "t_sync_oma": algo + d_oma,
+            "noma_gain_pct": 100.0 * (d_oma - d_noma) / (algo + d_oma),
+            "t_sync_noma_ci": half(t_noma), "t_sync_oma_ci": half(t_oma),
+        }
+        assert row.error == ""
+        for name, want in expected.items():
+            assert getattr(row, name) == pytest.approx(
+                want, rel=1e-12, abs=0.0), name
 
 
 def test_fading_sweep_changes_model():

@@ -9,14 +9,14 @@ import pytest
 
 from conftest import grid_topology, has_blocking_pair, small_config
 from udnsync.channel import sample_link_gains
-from udnsync.config import SimConfig, alpha_grid
+from udnsync.config import SimConfig
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           oma_leg_times, oma_times, pair_completion_noma,
                           pair_completion_oma)
-from udnsync.scheduler import (Assignment, SchedulerError, build_links,
-                               build_preferences, grid_search_alpha,
-                               schedule_exchange, stable_marriage,
-                               swap_until_stable, SwapStats)
+from udnsync.scheduler import (Assignment, SchedulerError, alpha_grid,
+                               build_links, build_preferences,
+                               grid_search_alpha, schedule_exchange,
+                               stable_marriage, swap_until_stable, SwapStats)
 from udnsync.topology import Topology, place_nodes
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from udnsync.config import SimConfig
-from udnsync.topology import (REFERENCE_TEMP_C, TopologyError, init_clocks,
-                              place_nodes)
+from udnsync.consensus import REFERENCE_TEMP_C, init_clocks
+from udnsync.topology import TopologyError, place_nodes
 
 
 def test_distance_matrix_symmetric_zero_diagonal(rng):
