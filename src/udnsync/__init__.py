@@ -11,14 +11,13 @@ Two coupled phases are modeled:
   synchronization time.
 """
 
-from udnsync.config import SimConfig, FadingSpec, dbm_to_watts
+from udnsync.config import SimConfig, dbm_to_watts
 from udnsync.topology import Topology, place_nodes
 from udnsync.consensus import ClockState, SyncTrace, init_clocks, run_sync
 from udnsync.scheduler import ScheduleOutcome, schedule_exchange
 
 __all__ = [
     "SimConfig",
-    "FadingSpec",
     "dbm_to_watts",
     "Topology",
     "place_nodes",

@@ -4,26 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from udnsync.config import FadingSpec, SimConfig, dbm_to_watts
+from udnsync.config import ConfigError, SimConfig, dbm_to_watts
 
 
-def sample_gain(fading: FadingSpec, rng: np.random.Generator, size=None):
-    """Sample power gains |h|^2.
+def sample_gain(config: SimConfig, rng: np.random.Generator, size=None):
+    """Sample power gains |h|^2 under ``config.fading_kind``.
 
     Rayleigh amplitude fading gives exponentially distributed power with
-    the configured mean. Nakagami-m amplitude fading gives Gamma(m, 1/m)
-    power with unit mean, so m only reshapes the distribution (m = 1
-    recovers Exponential(1)).
+    mean ``fading_param``. Nakagami-m amplitude fading with
+    m = ``fading_param`` gives Gamma(m, 1/m) power with unit mean, so m
+    only reshapes the distribution (m = 1 recovers Exponential(1)).
+
+    The parameter is not re-validated per draw: ``SimConfig.validate``
+    owns that. An unknown kind still raises ``ConfigError``.
 
     Each draw is a unit-scale fill scaled in place; these are the same
     bits that ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)`` return.
     """
-    fading.validate()
-    param = fading.param
-    if fading.kind == "rayleigh":
+    kind, param = config.fading_kind, config.fading_param
+    if kind == "rayleigh":
         gain, scale = rng.standard_exponential(size), param
-    else:
+    elif kind == "nakagami":
         gain, scale = rng.standard_gamma(param, size), 1.0 / param
+    else:
+        raise ConfigError(f"unknown fading_kind {kind!r}")
     gain *= scale
     return gain
 
@@ -36,10 +40,9 @@ def noise_power(config: SimConfig) -> float:
 def sample_interference_gains(config: SimConfig,
                               rng: np.random.Generator) -> np.ndarray:
     k = config.num_nodes
-    return sample_gain(config.fading, rng, size=(k, k))
+    return sample_gain(config, rng, size=(k, k))
 
 
 def sample_link_gains(config: SimConfig, num_triplets: int,
                       rng: np.random.Generator) -> np.ndarray:
-    return sample_gain(config.fading, rng,
-                       size=(num_triplets, config.num_subbands, 2))
+    return sample_gain(config, rng, size=(num_triplets, config.num_subbands, 2))

@@ -1,13 +1,15 @@
-"""Simulation configuration and unit conversions.
+"""Simulation configuration, scenario files and unit conversions.
 
-All radio quantities enter the simulator in dB units (dBm, dBm/Hz) and
-are converted to linear watts at this boundary.
+A scenario file holds flat ``key = value`` lines, and its keys are
+exactly the fields of ``SimConfig``, so this module is the only one that
+knows the format. All radio quantities enter the simulator in dB units
+(dBm, dBm/Hz) and are converted to linear watts at this boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
@@ -20,29 +22,6 @@ def dbm_to_watts(dbm: float) -> float:
 
 class ConfigError(ValueError):
     """Raised when a configuration violates its invariants."""
-
-
-@dataclass(frozen=True)
-class FadingSpec:
-    """Small-scale fading model for power gains.
-
-    kind 'rayleigh': power gain ~ Exponential(mean).
-    kind 'nakagami': power gain ~ Gamma(shape=m, scale=1/m), unit mean,
-    so the mean channel power is held constant across shape values.
-    """
-
-    kind: str = "rayleigh"
-    param: float = 1.0  # exponential mean, or Nakagami shape m
-
-    def validate(self) -> None:
-        if self.kind not in ("rayleigh", "nakagami"):
-            raise ConfigError(f"unknown fading kind {self.kind!r}")
-        if not math.isfinite(self.param):
-            raise ConfigError("fading param must be finite")
-        if self.kind == "rayleigh" and self.param <= 0:
-            raise ConfigError("rayleigh mean must be > 0")
-        if self.kind == "nakagami" and self.param < 0.5:
-            raise ConfigError("nakagami shape m must be >= 0.5")
 
 
 @dataclass(frozen=True)
@@ -63,11 +42,16 @@ class SimConfig:
     system_bandwidth_hz: float = 1e6
     noise_density_dbm_hz: float = -174.0
     payload_bits: float = 1000.0         # L
-    fading: FadingSpec = field(default_factory=FadingSpec)
+    # 'rayleigh': power gain ~ Exponential(mean = fading_param);
+    # 'nakagami': power gain ~ Gamma(m, 1/m) with m = fading_param, so the
+    # mean channel power stays 1 across shape values
+    fading_kind: str = "rayleigh"
+    fading_param: float = 1.0
     near_radius_m: float = 10.0
     far_radius_m: float = 100.0
     init_offset_max: float = 40e-6       # seconds
-    temp_range_c: tuple[float, float] = (0.0, 50.0)
+    temp_low_c: float = 0.0
+    temp_high_c: float = 50.0
     temp_coeff_ppm_c2: float = -0.042    # beta
     iter_period: float = 1e-3            # seconds per consensus broadcast period
     rng_seed: int = 0
@@ -88,14 +72,12 @@ class SimConfig:
 
     def validate(self) -> None:
         # NaN fails every comparison below, so reject non-finite numbers first
-        numbers = {f.name: getattr(self, f.name) for f in fields(self)
-                   if isinstance(getattr(self, f.name), float)}
-        numbers["temp_low_c"], numbers["temp_high_c"] = self.temp_range_c
-        for name, value in numbers.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.num_nodes < 2:
-            raise ConfigError("num_nodes must be >= 2")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.num_nodes < 3:
+            raise ConfigError("num_nodes must be >= 3")
         if self.num_subbands < 1:
             raise ConfigError("num_subbands must be >= 1")
         if not 0.0 < self.step_size < 1.0:
@@ -118,13 +100,18 @@ class SimConfig:
             raise ConfigError("payload_bits must be > 0")
         if self.init_offset_max < 0:
             raise ConfigError("init_offset_max must be >= 0")
-        if self.temp_range_c[0] > self.temp_range_c[1]:
-            raise ConfigError("temp_range_c must be (low, high)")
+        if self.temp_low_c > self.temp_high_c:
+            raise ConfigError("need temp_low_c <= temp_high_c")
         if self.iter_period <= 0:
             raise ConfigError("iter_period must be > 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
-        self.fading.validate()
+        if self.fading_kind not in ("rayleigh", "nakagami"):
+            raise ConfigError(f"unknown fading_kind {self.fading_kind!r}")
+        if self.fading_kind == "rayleigh" and self.fading_param <= 0:
+            raise ConfigError("rayleigh mean fading_param must be > 0")
+        if self.fading_kind == "nakagami" and self.fading_param < 0.5:
+            raise ConfigError("nakagami shape fading_param must be >= 0.5")
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)
@@ -132,27 +119,18 @@ class SimConfig:
         return cfg
 
 
-def _number(kind, key: str, val: str, lineno: int):
-    try:
-        return kind(val)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be {kind.__name__}, "
-                          f"got {val!r}") from None
-
-
 def parse_config_text(text: str) -> SimConfig:
     """Parse a plain-text ``key = value`` scenario file into a SimConfig.
 
-    Unknown keys are rejected. '#' starts a comment. Fading is given as
-    ``fading_kind`` / ``fading_param``, the temperature range as
-    ``temp_low_c`` / ``temp_high_c``.
+    Each key is a ``SimConfig`` field and its value is converted to that
+    field's type. Unknown and repeated keys are rejected, and '#' starts
+    a comment.
     """
     # annotations are strings under postponed evaluation
-    kinds = {f.name: int if f.type == "int" else float
-             for f in fields(SimConfig) if f.type in ("int", "float")}
+    kinds = {f.name: {"int": int, "float": float, "str": str}[f.type]
+             for f in fields(SimConfig)}
     values: dict[str, object] = {}
-    fading_kind, fading_param = None, None
-    temp_low, temp_high = None, None
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,32 +139,24 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "fading_kind":
-            fading_kind = val
-        elif key == "fading_param":
-            fading_param = _number(float, key, val, lineno)
-        elif key == "temp_low_c":
-            temp_low = _number(float, key, val, lineno)
-        elif key == "temp_high_c":
-            temp_high = _number(float, key, val, lineno)
-        elif key in kinds:
-            values[key] = _number(kinds[key], key, val, lineno)
-        else:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
+        try:
+            values[key] = kinds[key](val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be "
+                              f"{kinds[key].__name__}, got {val!r}") from None
     cfg = SimConfig(**values)  # type: ignore[arg-type]
-    if fading_kind is not None or fading_param is not None:
-        spec = FadingSpec(
-            kind=fading_kind if fading_kind is not None else "rayleigh",
-            param=fading_param if fading_param is not None else 1.0,
-        )
-        cfg = replace(cfg, fading=spec)
-    if temp_low is not None or temp_high is not None:
-        lo = temp_low if temp_low is not None else cfg.temp_range_c[0]
-        hi = temp_high if temp_high is not None else cfg.temp_range_c[1]
-        cfg = replace(cfg, temp_range_c=(lo, hi))
     cfg.validate()
     return cfg
 
 
 def load_config(path: str | Path) -> SimConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text)

@@ -62,7 +62,7 @@ def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
     """
     k = config.num_nodes
     offsets = rng.uniform(0.0, config.init_offset_max, size=k)
-    temps = rng.uniform(config.temp_range_c[0], config.temp_range_c[1], size=k)
+    temps = rng.uniform(config.temp_low_c, config.temp_high_c, size=k)
     skews = config.temp_coeff_ppm_c2 * (temps - REFERENCE_TEMP_C) ** 2
     return ClockState(times=offsets, skews_ppm=skews)
 

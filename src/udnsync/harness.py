@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from udnsync.channel import sample_interference_gains
-from udnsync.config import FadingSpec, SimConfig
+from udnsync.config import SimConfig
 from udnsync.consensus import run_sync
 from udnsync.graph import build_graph, connectivity_factor, path_gain
 from udnsync.scheduler import schedule_exchange
@@ -53,10 +53,9 @@ class ExperimentSpec:
 
     def config_at(self, value) -> SimConfig:
         name = self.swept_parameter
-        if name == "fading_mean":
-            overrides = {"fading": FadingSpec("rayleigh", float(value))}
-        elif name == "nakagami_m":
-            overrides = {"fading": FadingSpec("nakagami", float(value))}
+        if name in ("fading_mean", "nakagami_m"):
+            kind = "rayleigh" if name == "fading_mean" else "nakagami"
+            overrides = {"fading_kind": kind, "fading_param": float(value)}
         elif name in ("num_nodes", "num_subbands"):
             overrides = {name: int(value)}
         else:

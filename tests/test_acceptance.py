@@ -16,7 +16,7 @@ import pytest
 
 from conftest import grid_topology, has_blocking_pair
 from udnsync.channel import sample_interference_gains, sample_link_gains
-from udnsync.config import FadingSpec, SimConfig
+from udnsync.config import SimConfig
 from udnsync.consensus import (init_clocks, run_sync, timing_sd,
                                update_proposed)
 from udnsync.graph import build_graph, path_gain
@@ -355,7 +355,7 @@ def _paired_fading_runs(kind: str, params, reps: int, seed: int):
         topo_seed, *run_seeds = child.spawn(1 + len(params))
         topo = place_nodes(base, np.random.default_rng(topo_seed))
         for p, run_seed in zip(params, run_seeds):
-            cfg = replace(base, fading=FadingSpec(kind, float(p)))
+            cfg = replace(base, fading_kind=kind, fading_param=float(p))
             rng = np.random.default_rng(run_seed)
             algo = run_sync(cfg, topo, rng).algorithmic_time
             noma, oma = schedule_exchange(topo, cfg, rng)

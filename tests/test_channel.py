@@ -6,12 +6,16 @@ import pytest
 from conftest import grid_topology
 from udnsync.channel import (noise_power, sample_gain,
                              sample_interference_gains, sample_link_gains)
-from udnsync.config import FadingSpec, SimConfig
+from udnsync.config import ConfigError, SimConfig
 from udnsync.graph import build_graph, path_gain
 
 
+def fading(kind, param):
+    return SimConfig(fading_kind=kind, fading_param=param)
+
+
 def test_rayleigh_power_gain_moments(rng):
-    g = sample_gain(FadingSpec("rayleigh", 2.0), rng, size=200_000)
+    g = sample_gain(fading("rayleigh", 2.0), rng, size=200_000)
     assert np.all(g >= 0)
     assert g.mean() == pytest.approx(2.0, rel=0.02)
     # exponential power gain: variance equals mean^2
@@ -20,15 +24,15 @@ def test_rayleigh_power_gain_moments(rng):
 
 def test_nakagami_power_gain_moments(rng):
     for m in (1.0, 3.0):
-        g = sample_gain(FadingSpec("nakagami", m), rng, size=200_000)
+        g = sample_gain(fading("nakagami", m), rng, size=200_000)
         assert g.mean() == pytest.approx(1.0, rel=0.02)
         # Gamma(m, 1/m) variance is 1/m: more LOS, less spread
         assert g.var() == pytest.approx(1.0 / m, rel=0.05)
 
 
 def test_nakagami_m1_matches_rayleigh_distribution(rng):
-    a = np.sort(sample_gain(FadingSpec("nakagami", 1.0), rng, size=50_000))
-    b = np.sort(sample_gain(FadingSpec("rayleigh", 1.0), rng, size=50_000))
+    a = np.sort(sample_gain(fading("nakagami", 1.0), rng, size=50_000))
+    b = np.sort(sample_gain(fading("rayleigh", 1.0), rng, size=50_000))
     # same law: quantiles line up
     assert np.allclose(np.quantile(a, [0.25, 0.5, 0.9]),
                        np.quantile(b, [0.25, 0.5, 0.9]), rtol=0.05)
@@ -39,12 +43,17 @@ def test_nakagami_m1_matches_rayleigh_distribution(rng):
     ("nakagami", 1.0), ("nakagami", 3.0),
 ])
 def test_sample_gain_bits_match_numpy_scaled_draws(kind, param):
-    got = sample_gain(FadingSpec(kind, param), np.random.default_rng(5),
+    got = sample_gain(fading(kind, param), np.random.default_rng(5),
                       size=(7, 5))
     rng = np.random.default_rng(5)
     expected = (rng.exponential(param, size=(7, 5)) if kind == "rayleigh"
                 else rng.gamma(param, 1.0 / param, size=(7, 5)))
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_sample_gain_rejects_unknown_kind(rng):
+    with pytest.raises(ConfigError, match="rician"):
+        sample_gain(fading("rician", 1.0), rng, size=3)
 
 
 def two_node_power(p_t, gain, dist, alpha):

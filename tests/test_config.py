@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from udnsync.config import (ConfigError, FadingSpec, SimConfig, dbm_to_watts,
+from udnsync.config import (ConfigError, SimConfig, dbm_to_watts,
                             parse_config_text)
 from udnsync.scheduler import alpha_grid
 
@@ -39,9 +39,13 @@ def test_subband_bandwidth_splits_system_bandwidth():
     dict(power_grid_step=-0.1),
     dict(near_radius_m=50.0, far_radius_m=10.0),
     dict(payload_bits=0.0),
-    dict(temp_range_c=(50.0, 0.0)),
+    dict(temp_low_c=50.0, temp_high_c=0.0),
     dict(iter_period=0.0),
     dict(rng_seed=-1),
+    dict(num_nodes=2),               # placement needs K >= 3
+    dict(fading_kind="rician"),
+    dict(fading_kind="rayleigh", fading_param=0.0),
+    dict(fading_kind="nakagami", fading_param=0.25),
 ])
 def test_validate_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -52,28 +56,12 @@ def test_validate_rejects_non_finite_numbers():
     base = SimConfig()
     names = [f.name for f in fields(SimConfig)
              if isinstance(getattr(base, f.name), float)]
-    assert "power_grid_step" in names and "payload_bits" in names
+    assert {"power_grid_step", "payload_bits", "fading_param", "temp_low_c",
+            "temp_high_c"} <= set(names)
     for value in (math.nan, math.inf, -math.inf):
         for name in names:
             with pytest.raises(ConfigError, match=name):
                 replace(base, **{name: value}).validate()
-        for temps in ((value, 50.0), (0.0, value)):
-            with pytest.raises(ConfigError, match="temp_"):
-                replace(base, temp_range_c=temps).validate()
-        for kind in ("rayleigh", "nakagami"):
-            with pytest.raises(ConfigError, match="finite"):
-                FadingSpec(kind, value).validate()
-
-
-def test_fading_spec_validation():
-    FadingSpec("rayleigh", 1.0).validate()
-    FadingSpec("nakagami", 3.0).validate()
-    with pytest.raises(ConfigError):
-        FadingSpec("rician", 1.0).validate()
-    with pytest.raises(ConfigError):
-        FadingSpec("rayleigh", 0.0).validate()
-    with pytest.raises(ConfigError):
-        FadingSpec("nakagami", 0.25).validate()
 
 
 def test_with_overrides_revalidates():
@@ -98,8 +86,35 @@ def test_parse_config_text_round_trip():
     assert cfg.num_nodes == 30
     assert cfg.num_subbands == 3
     assert cfg.tx_power_dbm == 20.0
-    assert cfg.fading == FadingSpec("nakagami", 3.0)
-    assert cfg.temp_range_c == (10.0, 30.0)
+    assert (cfg.fading_kind, cfg.fading_param) == ("nakagami", 3.0)
+    assert (cfg.temp_low_c, cfg.temp_high_c) == (10.0, 30.0)
+
+
+# a valid value other than the default for every SimConfig field
+NON_DEFAULT = dict(
+    num_nodes=30, num_subbands=3, tx_power_dbm=20.5,
+    power_threshold_dbm=-120.25, path_loss_exp=3.5, step_size=0.5,
+    sd_tolerance=2.5e-7, max_iters=700, max_snapshots=9, swap_max_iters=12,
+    power_grid_step=0.125, system_bandwidth_hz=2e6,
+    noise_density_dbm_hz=-170.5, payload_bits=4096.0, fading_kind="nakagami",
+    fading_param=2.5, near_radius_m=5.0, far_radius_m=80.0,
+    init_offset_max=1e-5, temp_low_c=-10.5, temp_high_c=35.0,
+    temp_coeff_ppm_c2=-0.035, iter_period=2e-3, rng_seed=17,
+)
+
+
+def test_every_field_is_a_key_that_round_trips():
+    default = SimConfig()
+    assert set(NON_DEFAULT) == {f.name for f in fields(SimConfig)}
+    for name, value in NON_DEFAULT.items():
+        assert value != getattr(default, name), name
+    text = "\n".join(f"{name} = {value}" for name, value in NON_DEFAULT.items())
+    assert parse_config_text(text) == SimConfig(**NON_DEFAULT)
+
+
+def test_parse_config_text_rejects_repeated_key():
+    with pytest.raises(ConfigError, match="line 3: num_nodes repeats line 1"):
+        parse_config_text("num_nodes = 30\nnum_subbands = 3\nnum_nodes = 90")
 
 
 def test_parse_config_text_rejects_unknown_key():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from udnsync.cli import main
-from udnsync.config import FadingSpec, SimConfig
+from udnsync.config import SimConfig
 from udnsync.harness import (CSV_COLUMNS, ExperimentSpec, HarnessError,
                              PRESETS, ResultRow, _replicate, emit_csv, preset,
                              read_csv, run_experiment)
@@ -98,9 +98,9 @@ def test_row_aggregates_the_replications():
 
 def test_fading_sweep_changes_model():
     spec = tiny_spec(swept_parameter="nakagami_m", sweep_values=(1.0, 3.0))
-    assert spec.config_at(3.0).fading.kind == "nakagami"
+    assert spec.config_at(3.0).fading_kind == "nakagami"
     spec = tiny_spec(swept_parameter="fading_mean", sweep_values=(2.0,))
-    assert spec.config_at(2.0).fading.param == 2.0
+    assert spec.config_at(2.0).fading_param == 2.0
 
 
 def test_reproducible_csv_bytes(tmp_path):
@@ -220,12 +220,13 @@ RECORDED_PRESETS = {
 
 
 def test_preset_specs_match_recorded_layouts():
-    base = SimConfig(rng_seed=3, fading=FadingSpec("nakagami", 2.0))
+    fading = dict(fading_kind="nakagami", fading_param=2.0)
+    base = SimConfig(rng_seed=3, **fading)
     for (name, full_scale), (param, values, overrides) in \
             RECORDED_PRESETS.items():
         spec = preset(name, base, replications=4, full_scale=full_scale)
         assert spec == ExperimentSpec(name, param, values, 4,
-                                      SimConfig(rng_seed=3, fading=base.fading,
+                                      SimConfig(rng_seed=3, **fading,
                                                 **overrides))
 
 
@@ -333,9 +334,11 @@ def test_cli_validate_missing_file(tmp_path):
     ["run", "{scenario}", "--out", "{tmp}/out", "--replications", "0"],
     ["run", "{scenario}", "--out", "{tmp}/out", "--preset", "fig8",
      "--replications", "0"],
+    ["run", "{tmp}/latin1.cfg", "--out", "{tmp}/out"],  # not UTF-8 text
 ])
 def test_cli_usage_and_file_errors_exit_2(tmp_path, capsys, argv):
     scenario = write_scenario(tmp_path)
+    (tmp_path / "latin1.cfg").write_bytes(SCENARIO.encode() + b"# caf\xe9\n")
     argv = [a.format(scenario=scenario, tmp=tmp_path) for a in argv]
     try:
         code = main(argv)
