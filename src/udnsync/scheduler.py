@@ -23,9 +23,12 @@ fallback matching is also the round's OMA outcome. The rate kernel runs
 once per round over the whole grid; the points are then matched in
 ascending order of a bottleneck lower bound on their delay, stopping at
 the first that cannot beat the best so far, which returns what matching
-every point would. When triplets outnumber sub-bands, unmatched
-triplets defer to later rounds and the total exchange delay sums the
-round maxima.
+every point would. The stable matching and the swap loop only compare
+times, so a point whose times fall in the same order, with the same
+ties, as a point already matched gets that point's matching and swap
+stats; the walk reuses them and reads only the point's own delay. When
+triplets outnumber sub-bands, unmatched triplets defer to later rounds
+and the total exchange delay sums the round maxima.
 """
 
 from __future__ import annotations
@@ -113,13 +116,19 @@ def build_preferences(times: np.ndarray):
 def stable_marriage(rows, cols) -> Assignment:
     """The unique stable matching: walk the pairs in preference order and
     keep each whose triplet and sub-band are both free, since it is then
-    the first remaining choice of both. Sides may be unequal."""
+    the first remaining choice of both. Sides may be unequal; the walk
+    stops once it holds min(T, N) pairs, as one side is then full and no
+    later pair can be kept."""
+    rows, cols = rows.tolist(), cols.tolist()
+    size = min(max(rows), max(cols)) + 1
     holder: dict[int, int] = {}
     matched: set[int] = set()
-    for t, s in zip(rows.tolist(), cols.tolist()):
+    for t, s in zip(rows, cols):
         if s not in holder and t not in matched:
             holder[s] = t
             matched.add(t)
+            if len(holder) == size:
+                break
     return Assignment(sb_to_triplet=dict(sorted(holder.items())))
 
 
@@ -304,6 +313,14 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     whose (bound, index) is not below the best (delay, index): no later
     point can win.
 
+    A walked point is keyed by its preference order and its tie pattern:
+    which neighbours in that order have equal times. The stable matching
+    reads only the order, and the swap loop only compares times and
+    their maxima with each other (and with a 0.0 below every time). So
+    all points with one key get the same assignment and swap stats: the
+    first is matched, the rest reuse its pair, and each point's delay is
+    read from its own times.
+
     The orthogonal mode is evaluated as a fallback: on rounds whose
     pairs are too heterogeneous for any single split, the scheduler
     transmits orthogonally instead, so the superposed scheme never does
@@ -325,11 +342,20 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
         _min_over(all_times, 1).max(axis=1) if num_t >= num_s else -np.inf)
     bounds = bound.tolist()
     best = (math.inf, len(grid), None, None)  # (delay, index, assignment, stats)
+    matchings = {}  # (order, tie pattern) -> (assignment, stats)
     for i in np.argsort(bound, kind="stable").tolist():
         if (bounds[i], i) >= best[:2]:
             break
-        assignment, stats = _match_round(all_times[i], config.swap_max_iters)
-        delay = assignment.max_time(all_times[i])
+        times = all_times[i]
+        rows, cols = build_preferences(times)
+        ordered = times[rows, cols]
+        key = (rows.tobytes(), cols.tobytes(),
+               (ordered[1:] == ordered[:-1]).tobytes())
+        if key not in matchings:
+            matchings[key] = swap_until_stable(
+                stable_marriage(rows, cols), times, config.swap_max_iters)
+        assignment, stats = matchings[key]
+        delay = assignment.max_time(times)
         if (delay, i) < best[:2]:
             best = (delay, i, assignment, stats)
     assignment, stats = _match_round(oma_times(links), config.swap_max_iters)

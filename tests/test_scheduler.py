@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import grid_topology, has_blocking_pair, small_config
+from udnsync import scheduler
 from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           oma_leg_times, oma_times, pair_completion_noma,
                           pair_completion_oma)
-from udnsync.scheduler import (Assignment, SchedulerError, alpha_grid,
-                               build_links, build_preferences,
+from udnsync.scheduler import (Assignment, SchedulerError, _match_round,
+                               alpha_grid, build_links, build_preferences,
                                grid_search_alpha, schedule_exchange,
                                stable_marriage, swap_until_stable, SwapStats)
 from udnsync.topology import Topology, place_nodes
@@ -265,6 +266,35 @@ def test_stable_marriage_never_blocks_randomized(rng):
         assert not has_blocking_pair(stable_marriage(prefs, ranks), times)
 
 
+def _full_walk_reference(rows, cols):
+    """The greedy walk over every pair, with no early stop."""
+    holder, matched = {}, set()
+    for t, s in zip(rows.tolist(), cols.tolist()):
+        if s not in holder and t not in matched:
+            holder[s] = t
+            matched.add(t)
+    return dict(sorted(holder.items()))
+
+
+def test_stable_marriage_stopping_at_full_side_equals_full_walk():
+    # many more triplets than sub-bands, as in the round partition, and
+    # the transpose; with distinct, tied and infinite times
+    rng = np.random.default_rng(2027)
+    for i in range(400):
+        num_s = int(rng.integers(1, 6))
+        num_t = num_s * int(rng.integers(4, 12))
+        times = rng.uniform(0.1, 10.0, size=(num_t, num_s))
+        if i % 2:
+            times = np.round(times / 3.0)
+        if i % 4 >= 2:
+            times[rng.random(times.shape) < 0.4] = np.inf
+        for tab in (times, times.T):
+            prefs = build_preferences(tab)
+            result = stable_marriage(*prefs).sb_to_triplet
+            assert list(result.items()) == list(
+                _full_walk_reference(*prefs).items())
+
+
 # ---------------------------------------------------------------------------
 # swap matching
 
@@ -479,6 +509,29 @@ def test_swap_until_stable_respects_cap(rng):
     assert stats.iterations <= 2
 
 
+def test_matching_sees_only_the_order_and_ties_of_times():
+    # the premise of the split search's reuse: replacing every time by
+    # its dense rank keeps the stable matching, the swaps and their stats
+    rng = np.random.default_rng(2028)
+    unequal = 0
+    for i in range(1500):
+        num_t, num_s = (int(n) for n in rng.integers(1, 11, size=2))
+        unequal += num_t != num_s
+        times = rng.uniform(1.0, 4.0, size=(num_t, num_s))
+        if i % 3:  # integer or one-decimal times: many ties
+            times = np.round(times, i % 3 - 1)
+        if i % 2:
+            times[rng.random(times.shape) < 0.3] = np.inf
+        inverse = np.unique(times, return_inverse=True)[1]
+        ranks = inverse.reshape(times.shape) + 1.0
+        assignment, stats = _match_round(times, 100)
+        rank_assignment, rank_stats = _match_round(ranks, 100)
+        assert list(assignment.sb_to_triplet.items()) == list(
+            rank_assignment.sb_to_triplet.items())
+        assert stats == rank_stats
+    assert unequal > 1000
+
+
 # ---------------------------------------------------------------------------
 # grid search over the power split
 
@@ -523,7 +576,7 @@ def test_grid_search_is_argmin_over_grid(rng):
         assert outcome.round_max <= cand.max_time(times) + 1e-15
 
 
-def _grid_search_reference(links, config):
+def _grid_search_reference(links, config, noma_times=noma_times):
     """The split search with one kernel call and one matching per grid
     point; returns (alpha or None, assignment, round max, swap stats)."""
     best = None
@@ -544,6 +597,23 @@ def _grid_search_reference(links, config):
     return best
 
 
+def _assert_equals_reference(outcome, reference):
+    alpha, assignment, round_max, stats = reference
+    assert outcome.alpha_strong == alpha
+    assert list(outcome.assignment.sb_to_triplet.items()) == list(
+        assignment.sb_to_triplet.items())
+    assert outcome.round_max == round_max
+    assert outcome.swap_stats == stats
+
+
+def _decade_gains(links):
+    """The same links with every gain rounded to a power of ten, so that
+    many (triplet, sub-band) pairs share their times at every split."""
+    return make_links(10.0 ** np.round(np.log10(links.gain_strong)),
+                      10.0 ** np.round(np.log10(links.gain_weak)),
+                      noise_w=links.noise_w)
+
+
 @pytest.mark.parametrize("step", [0.0025, 0.05, 0.25])
 def test_grid_search_equals_per_point_reference(step):
     rng = np.random.default_rng(31)
@@ -552,14 +622,68 @@ def test_grid_search_equals_per_point_reference(step):
                          (10, 10)):
         for _ in range(4):
             links = random_links(rng, num_t, num_s)
-            outcome, _ = grid_search_alpha(links, cfg)
-            alpha, assignment, round_max, stats = _grid_search_reference(
-                links, cfg)
-            assert outcome.alpha_strong == alpha
-            assert list(outcome.assignment.sb_to_triplet.items()) == list(
-                assignment.sb_to_triplet.items())
-            assert outcome.round_max == round_max
-            assert outcome.swap_stats == stats
+            for case in (links, _decade_gains(links)):
+                outcome, _ = grid_search_alpha(case, cfg)
+                _assert_equals_reference(outcome,
+                                         _grid_search_reference(case, cfg))
+
+
+def _fake_kernel(monkeypatch, tensor, step):
+    """Make the scheduler's kernels return ``tensor`` over the grid of
+    ``step``: the whole tensor for the grid, one point for a split."""
+    def times(links, alpha_strong):
+        if np.ndim(alpha_strong):
+            return tensor
+        return tensor[round(alpha_strong / step)]
+
+    monkeypatch.setattr("udnsync.scheduler.noma_times", times)
+    monkeypatch.setattr("udnsync.scheduler.noma_leg_times",
+                        lambda links, a: (times(links, a),) * 2)
+    return times
+
+
+# Two points with one preference order, (0,0) (1,0) (0,1) (1,1) (0,2)
+# (1,2), that differ only in whether (0,1) ties (1,1). Both start from
+# the stable matching {0: 0, 1: 1}. Untied, exchanging the two triplets
+# lowers the maximum from 3 to 2.5; tied at 3, it cannot.
+TIED = np.array([[1.0, 3.0, 9.0], [2.0, 3.0, 9.0]])
+UNTIED = np.array([[1.0, 2.5, 9.0], [2.0, 3.0, 9.0]])
+
+
+def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
+    # both bounds are 2, so the tied point is walked first (delay 3) and
+    # the untied one second; reusing the tied matching there would read
+    # 3 instead of 2.5 and keep the wrong split
+    tensor = np.stack([TIED, UNTIED, np.full((2, 3), 20.0)])
+    reference_times = _fake_kernel(monkeypatch, tensor, 0.5)
+    links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
+    cfg = SimConfig(power_grid_step=0.5)
+    outcome, _ = grid_search_alpha(links, cfg)
+    reference = _grid_search_reference(links, cfg, reference_times)
+    assert reference[0] == 0.5 and reference[2] == 2.5
+    _assert_equals_reference(outcome, reference)
+
+
+def test_grid_search_matches_a_repeated_order_once(monkeypatch):
+    # exact binary scalings of one table share its order and ties; every
+    # bound (2c) is below the first delay (3), so all five are walked
+    step = 0.25
+    tensor = np.stack([TIED * c for c in (1.0, 1.0625, 1.125, 1.1875, 1.25)])
+    _fake_kernel(monkeypatch, tensor, step)
+    calls = {"build_preferences": 0, "swap_until_stable": 0}
+    for name in calls:
+        original = getattr(scheduler, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(scheduler, name, counted)
+    links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
+    outcome, _ = grid_search_alpha(links, SimConfig(power_grid_step=step))
+    # five walked points and the OMA matching; one NOMA matching and OMA's
+    assert calls == {"build_preferences": 6, "swap_until_stable": 2}
+    assert outcome.alpha_strong == 0.0 and outcome.round_max == 3.0
 
 
 def test_grid_search_ties_go_to_the_lowest_split(monkeypatch):
