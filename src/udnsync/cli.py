@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from udnsync.config import ConfigError, load_config
@@ -45,14 +46,13 @@ def _run(args) -> int:
     if args.seed is not None:
         config = config.with_overrides(rng_seed=args.seed)
     if args.preset is not None:
-        reps = args.replications if args.replications is not None else 50
-        spec = preset(args.preset, config, replications=reps,
-                      full_scale=args.full_scale)
+        spec = preset(args.preset, config, full_scale=args.full_scale)
     else:
-        reps = args.replications if args.replications is not None else 1
         name = Path(args.scenario).stem
         spec = ExperimentSpec(name, "power_threshold_dbm",
-                              (config.power_threshold_dbm,), reps, config)
+                              (config.power_threshold_dbm,), 1, config)
+    if args.replications is not None:
+        spec = replace(spec, replications=args.replications)
     spec.validate()  # before the output directory is created
 
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or args.out)

@@ -15,8 +15,6 @@ from pathlib import Path
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a dBm level to watts. -inf maps to 0 W."""
-    if dbm == -math.inf:
-        return 0.0
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
@@ -72,10 +70,10 @@ class SimConfig:
 
     def validate(self) -> None:
         # NaN fails every comparison below, so reject non-finite numbers first
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_nodes < 3:
             raise ConfigError("num_nodes must be >= 3")
         if self.num_subbands < 1:
@@ -119,6 +117,12 @@ class SimConfig:
         return cfg
 
 
+# Each field's value type, read by the scenario parser and by sweeps.
+# Annotations are strings under postponed evaluation.
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+               for f in fields(SimConfig)}
+
+
 def parse_config_text(text: str) -> SimConfig:
     """Parse a plain-text ``key = value`` scenario file into a SimConfig.
 
@@ -126,9 +130,6 @@ def parse_config_text(text: str) -> SimConfig:
     field's type. Unknown and repeated keys are rejected, and '#' starts
     a comment.
     """
-    # annotations are strings under postponed evaluation
-    kinds = {f.name: {"int": int, "float": float, "str": str}[f.type]
-             for f in fields(SimConfig)}
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -139,16 +140,17 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in kinds:
+        kind = FIELD_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
         seen[key] = lineno
         try:
-            values[key] = kinds[key](val)
+            values[key] = kind(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} must be "
-                              f"{kinds[key].__name__}, got {val!r}") from None
+                              f"{kind.__name__}, got {val!r}") from None
     cfg = SimConfig(**values)  # type: ignore[arg-type]
     cfg.validate()
     return cfg

@@ -144,26 +144,23 @@ def update_proposed(state: ClockState, graph: InterferenceGraph,
 
 
 def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
-                 rng: np.random.Generator, rule: str = "proposed") -> SnapshotResult:
+                 rng: np.random.Generator) -> SnapshotResult:
     """One synchronization period: iterate until sd <= delta or budget ends.
 
-    ``gain`` is the topology's path gain (``graph.path_gain``); only the
-    fading is redrawn each iteration.
+    ``gain`` is the topology's path gain (``graph.path_gain``); each
+    iteration redraws only the fading and applies ``update_proposed``.
 
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
     """
     if config.max_iters < 1:
         raise ConsensusError("no iteration budget")
-    if rule not in ("proposed", "baseline"):
-        raise ConsensusError(f"unknown update rule {rule!r}")
-    update = update_proposed if rule == "proposed" else update_baseline
     sds = []
     for _ in range(config.max_iters):
         fading = channel.sample_interference_gains(config, rng)
         graph = build_graph(config.tx_power_w, gain, fading,
                             config.power_threshold_w)
-        state.times = update(state, graph, config.step_size)
+        state.times = update_proposed(state, graph, config.step_size)
         sd = timing_sd(state.times)
         sds.append(sd)
         diverged = not np.isfinite(sd) or sd > DIVERGENCE_SD_S
@@ -179,7 +176,7 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
 
 
 def run_sync(config: SimConfig, topology: Topology,
-             rng: np.random.Generator, rule: str = "proposed") -> SyncTrace:
+             rng: np.random.Generator) -> SyncTrace:
     """Run T_max snapshots and aggregate iteration counts.
 
     The weight memory starts from a graph drawn before the first
@@ -193,5 +190,5 @@ def run_sync(config: SimConfig, topology: Topology,
                                config.power_threshold_w))
     trace = SyncTrace(iter_period=config.iter_period)
     for _ in range(config.max_snapshots):
-        trace.snapshots.append(run_snapshot(state, config, gain, rng, rule))
+        trace.snapshots.append(run_snapshot(state, config, gain, rng))
     return trace

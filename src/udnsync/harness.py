@@ -18,14 +18,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from udnsync.channel import sample_interference_gains
-from udnsync.config import SimConfig
+from udnsync.config import FIELD_TYPES, SimConfig
 from udnsync.consensus import run_sync
 from udnsync.graph import build_graph, connectivity_factor, path_gain
 from udnsync.scheduler import schedule_exchange
 from udnsync.topology import place_nodes
-
-SWEEPABLE = ("power_threshold_dbm", "num_nodes", "num_subbands",
-             "fading_mean", "nakagami_m")
 
 
 class HarnessError(ValueError):
@@ -41,10 +38,10 @@ class ExperimentSpec:
     base_config: SimConfig
 
     def validate(self) -> None:
-        if self.swept_parameter not in SWEEPABLE:
+        if FIELD_TYPES.get(self.swept_parameter) not in (int, float):
             raise HarnessError(
-                f"unknown swept parameter {self.swept_parameter!r}; "
-                f"choose one of {SWEEPABLE}")
+                f"cannot sweep {self.swept_parameter!r}: not an int or "
+                f"float field of SimConfig")
         if not self.sweep_values:
             raise HarnessError("sweep values must be nonempty")
         if self.replications < 1:
@@ -52,15 +49,10 @@ class ExperimentSpec:
         self.base_config.validate()
 
     def config_at(self, value) -> SimConfig:
+        """The base config with the swept field set to ``value``."""
         name = self.swept_parameter
-        if name in ("fading_mean", "nakagami_m"):
-            kind = "rayleigh" if name == "fading_mean" else "nakagami"
-            overrides = {"fading_kind": kind, "fading_param": float(value)}
-        elif name in ("num_nodes", "num_subbands"):
-            overrides = {name: int(value)}
-        else:
-            overrides = {name: float(value)}
-        return self.base_config.with_overrides(**overrides)
+        return self.base_config.with_overrides(
+            **{name: FIELD_TYPES[name](value)})
 
 
 @dataclass
@@ -172,14 +164,16 @@ _FULL_SCALE = dict(num_nodes=250, max_snapshots=100, max_iters=20000,
                    noise_density_dbm_hz=-114.0)
 
 
-# name -> (swept parameter, sweep values, the preset's own overrides)
+# name -> (swept SimConfig field, sweep values, the preset's own overrides)
 _PRESETS = {
     "fig4": ("power_threshold_dbm", (-100.0, -90.0, -80.0, -70.0, -60.0),
              dict(max_snapshots=1)),
     "fig5": ("num_subbands", (5, 10, 15), dict(num_nodes=90)),
-    "fig6": ("fading_mean", (0.5, 1.0, 2.0, 4.0), {}),
+    "fig6": ("fading_param", (0.5, 1.0, 2.0, 4.0),
+             dict(fading_kind="rayleigh")),
     # the shape-parameter effect on the gain is clearest at low SNR
-    "fig7": ("nakagami_m", (1.0, 3.0), dict(noise_density_dbm_hz=-134.0)),
+    "fig7": ("fading_param", (1.0, 3.0),
+             dict(fading_kind="nakagami", noise_density_dbm_hz=-134.0)),
     "fig8": ("num_subbands", (2, 3, 4), dict(num_nodes=36)),
 }
 PRESETS = tuple(_PRESETS)
@@ -193,10 +187,14 @@ def preset(name: str, base: SimConfig, replications: int = 50,
     fig5: sub-band count sweep at fixed network size;
     fig6: Rayleigh mean-gain sweep; fig7: Nakagami shape sweep;
     fig8: sub-band sweep sized for swap-iteration statistics.
+
+    The base carries the first sweep value, so the scenario's own value of
+    the swept field need not suit the preset (fig7 on a Rayleigh mean 0.3).
     """
     if name not in _PRESETS:
         raise HarnessError(f"unknown preset {name!r}")
     swept, values, own = _PRESETS[name]
     scale = _FULL_SCALE if full_scale else _DESK_SCALE
     return ExperimentSpec(name, swept, values, replications,
-                          base.with_overrides(**{**scale, **own}))
+                          base.with_overrides(
+                              **{**scale, **own, swept: values[0]}))

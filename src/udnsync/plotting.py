@@ -11,6 +11,7 @@ WIDTH, HEIGHT = 640, 420
 MARGIN = dict(left=70, right=30, top=30, bottom=55)
 SERIES = (("t_sync_noma", "NOMA", "#1f77b4"),
           ("t_sync_oma", "OMA", "#d62728"))
+YLABEL = "total synchronization time (s)"
 
 
 class PlotError(ValueError):
@@ -37,8 +38,7 @@ def _scale(lo, hi):
 
 
 def emit_plot(rows: list[ResultRow], path,
-              xlabel: str = "sweep value",
-              ylabel: str = "total synchronization time (s)") -> None:
+              xlabel: str = "sweep value") -> None:
     """Render both access schemes' totals versus the swept value."""
     if len(rows) < 2:
         raise PlotError("need at least 2 rows to draw a line chart")
@@ -67,7 +67,7 @@ def emit_plot(rows: list[ResultRow], path,
         f'text-anchor="middle" font-size="14">{xlabel}</text>',
         f'<text x="16" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
         f'font-size="14" transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">'
-        f'{ylabel}</text>',
+        f'{YLABEL}</text>',
     ]
     # axis ticks: ends plus midpoint, enough to read the scale
     for frac in (0.0, 0.5, 1.0):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from udnsync.config import SimConfig
+from udnsync.noma import (PairLink, rate, sinr_strong, sinr_strong_alone,
+                          sinr_weak)
 from udnsync.topology import Topology
 
 
@@ -51,6 +53,31 @@ def has_blocking_pair(assignment, times: np.ndarray) -> bool:
             if t_prefers and s_prefers:
                 return True
     return False
+
+
+def bit_accumulation_times(link: PairLink,
+                           tol=1e-13) -> tuple[float, float]:
+    """(t_strong, t_weak) by bisection on delivered bits: independent of
+    the closed-form branches."""
+    r_weak = rate(sinr_weak(link), link.bandwidth_hz)
+    r_shared = rate(sinr_strong(link), link.bandwidth_hz)
+    r_alone = rate(sinr_strong_alone(link), link.bandwidth_hz)
+    t_weak = link.payload_bits / r_weak
+
+    def delivered(t):
+        return (r_shared * min(t, t_weak)
+                + r_alone * max(0.0, t - t_weak))
+
+    lo, hi = 0.0, 1.0
+    while delivered(hi) < link.payload_bits:
+        hi *= 2.0
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2.0
+        if delivered(mid) < link.payload_bits:
+            lo = mid
+        else:
+            hi = mid
+    return hi, t_weak
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import grid_topology, has_blocking_pair
+from conftest import (bit_accumulation_times, grid_topology,
+                      has_blocking_pair)
 from udnsync.channel import sample_interference_gains, sample_link_gains
 from udnsync.config import SimConfig
 from udnsync.consensus import (init_clocks, run_sync, timing_sd,
@@ -22,8 +23,7 @@ from udnsync.consensus import (init_clocks, run_sync, timing_sd,
 from udnsync.graph import build_graph, path_gain
 from udnsync.harness import ExperimentSpec, run_experiment
 from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
-                          oma_times, rate, sinr_strong, sinr_strong_alone,
-                          sinr_weak)
+                          oma_times, rate, sinr_strong, sinr_weak)
 from udnsync.scheduler import (Assignment, _partition_rounds, build_links,
                                build_preferences, grid_search_alpha,
                                schedule_exchange, stable_marriage,
@@ -405,22 +405,6 @@ def _random_pair_link(rng) -> PairLink:
                     payload_bits=rng.uniform(1.0, 100.0))
 
 
-def _bit_accumulation_time(link: PairLink, tol=1e-13) -> float:
-    """Bisection on delivered bits, independent of the piecewise form."""
-    r_shared = rate(sinr_strong(link), link.bandwidth_hz)
-    r_alone = rate(sinr_strong_alone(link), link.bandwidth_hz)
-    t_weak = link.payload_bits / rate(sinr_weak(link), link.bandwidth_hz)
-    delivered = lambda t: (r_shared * min(t, t_weak)
-                           + r_alone * max(0.0, t - t_weak))
-    lo, hi = 0.0, 1.0
-    while delivered(hi) < link.payload_bits:
-        hi *= 2.0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if delivered(mid) < link.payload_bits else (lo, mid)
-    return hi
-
-
 def _kernel_legs(link: PairLink) -> tuple[float, float]:
     """(t_strong, t_weak) of one link from the scheduler's vectorized kernel."""
     links = RoundLinks(np.array([[link.gain_strong]]),
@@ -439,7 +423,7 @@ def test_criterion_10_completion_kernel_matches_oracle():
     for _ in range(10000):
         link = _random_pair_link(rng)
         closed, _ = _kernel_legs(link)
-        oracle = _bit_accumulation_time(link)
+        oracle, _ = bit_accumulation_times(link)
         worst = max(worst, abs(closed - oracle) / oracle)
 
     crossings = 0

@@ -127,15 +127,6 @@ def test_snapshot_rejects_empty_budget(rng):
         run_snapshot(state, cfg, gain, rng)
 
 
-def test_snapshot_rejects_unknown_rule(rng):
-    cfg = small_config()
-    gain = path_gain(grid_topology(cfg.num_nodes, rng=rng),
-                     cfg.path_loss_exp)
-    state = init_clocks(cfg, rng)
-    with pytest.raises(ConsensusError, match="rule"):
-        run_snapshot(state, cfg, gain, rng, rule="propsed")
-
-
 def test_skew_drift_applied_once_per_snapshot(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,9 @@ def tiny_spec(**overrides):
 
 def test_spec_validation():
     tiny_spec().validate()
-    with pytest.raises(HarnessError):
-        tiny_spec(swept_parameter="carrier_freq").validate()
+    for name in ("carrier_freq", "fading_kind"):  # unknown; not a number
+        with pytest.raises(HarnessError):
+            tiny_spec(swept_parameter=name).validate()
     with pytest.raises(HarnessError):
         tiny_spec(sweep_values=()).validate()
     with pytest.raises(HarnessError):
@@ -97,10 +99,18 @@ def test_row_aggregates_the_replications():
 
 
 def test_fading_sweep_changes_model():
-    spec = tiny_spec(swept_parameter="nakagami_m", sweep_values=(1.0, 3.0))
-    assert spec.config_at(3.0).fading_kind == "nakagami"
-    spec = tiny_spec(swept_parameter="fading_mean", sweep_values=(2.0,))
-    assert spec.config_at(2.0).fading_param == 2.0
+    # each fading preset forces its model over the scenario's, including a
+    # Rayleigh mean of 0.3 that is no valid Nakagami shape
+    scenarios = (SimConfig(fading_kind="rayleigh", fading_param=0.3),
+                 SimConfig(fading_kind="nakagami", fading_param=2.0))
+    for name, kind in (("fig6", "rayleigh"), ("fig7", "nakagami")):
+        for base in scenarios:
+            spec = preset(name, base, replications=1)
+            assert spec.swept_parameter == "fading_param"
+            for value in spec.sweep_values:
+                config = spec.config_at(value)
+                assert (config.fading_kind, config.fading_param) == \
+                    (kind, value)
 
 
 def test_reproducible_csv_bytes(tmp_path):
@@ -204,30 +214,39 @@ RECORDED_PRESETS = {
                       (-100.0, -90.0, -80.0, -70.0, -60.0),
                       dict(DESK, max_snapshots=1)),
     ("fig5", False): ("num_subbands", (5, 10, 15), dict(DESK, num_nodes=90)),
-    ("fig6", False): ("fading_mean", (0.5, 1.0, 2.0, 4.0), DESK),
-    ("fig7", False): ("nakagami_m", (1.0, 3.0),
-                      dict(DESK, noise_density_dbm_hz=-134.0)),
+    ("fig6", False): ("fading_param", (0.5, 1.0, 2.0, 4.0),
+                      dict(DESK, fading_kind="rayleigh")),
+    ("fig7", False): ("fading_param", (1.0, 3.0),
+                      dict(DESK, fading_kind="nakagami",
+                           noise_density_dbm_hz=-134.0)),
     ("fig8", False): ("num_subbands", (2, 3, 4), dict(DESK, num_nodes=36)),
     ("fig4", True): ("power_threshold_dbm",
                      (-100.0, -90.0, -80.0, -70.0, -60.0),
                      dict(FULL, max_snapshots=1)),
     ("fig5", True): ("num_subbands", (5, 10, 15), dict(FULL, num_nodes=90)),
-    ("fig6", True): ("fading_mean", (0.5, 1.0, 2.0, 4.0), FULL),
-    ("fig7", True): ("nakagami_m", (1.0, 3.0),
-                     dict(FULL, noise_density_dbm_hz=-134.0)),
+    ("fig6", True): ("fading_param", (0.5, 1.0, 2.0, 4.0),
+                     dict(FULL, fading_kind="rayleigh")),
+    ("fig7", True): ("fading_param", (1.0, 3.0),
+                     dict(FULL, fading_kind="nakagami",
+                          noise_density_dbm_hz=-134.0)),
     ("fig8", True): ("num_subbands", (2, 3, 4), dict(FULL, num_nodes=36)),
 }
 
 
 def test_preset_specs_match_recorded_layouts():
-    fading = dict(fading_kind="nakagami", fading_param=2.0)
-    base = SimConfig(rng_seed=3, **fading)
+    scenario = dict(rng_seed=3, fading_kind="nakagami", fading_param=2.0)
+    base = SimConfig(**scenario)
     for (name, full_scale), (param, values, overrides) in \
             RECORDED_PRESETS.items():
         spec = preset(name, base, replications=4, full_scale=full_scale)
+        recorded = SimConfig(**{**scenario, **overrides})
+        # the base carries the first sweep value
         assert spec == ExperimentSpec(name, param, values, 4,
-                                      SimConfig(rng_seed=3, **fading,
-                                                **overrides))
+                                      replace(recorded, **{param: values[0]}))
+        # the configs an experiment measures, one per sweep point
+        for value in values:
+            assert spec.config_at(value) == replace(recorded,
+                                                    **{param: value})
 
 
 GOLDEN_FIG8 = Path(__file__).parent / "data" / "fig8_desk_seed7.csv"
@@ -378,3 +397,27 @@ def test_cli_run_with_replications_aggregates(tmp_path):
                  "--replications", "2"]) == 0
     rows = read_csv(out_dir / "scenario.csv")
     assert rows[0].t_sync_noma_ci >= 0.0
+
+
+@pytest.mark.parametrize("name, fading, kind", [
+    ("fig7", "fading_kind = rayleigh\nfading_param = 0.3\n", "nakagami"),
+    ("fig6", "fading_kind = nakagami\nfading_param = 2.0\n", "rayleigh"),
+], ids=["fig7-on-rayleigh-0.3", "fig6-on-nakagami"])
+def test_cli_fading_preset_forces_its_model(tmp_path, monkeypatch, name,
+                                            fading, kind):
+    # 0.3 is a valid Rayleigh mean but no valid Nakagami shape
+    seen = []
+
+    def recording(config, rng):
+        seen.append((config.fading_kind, config.fading_param))
+        return _replicate(config, rng)
+
+    monkeypatch.setattr("udnsync.harness._replicate", recording)
+    path = write_scenario(tmp_path, SCENARIO + fading)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--preset", name,
+                 "--replications", "1"]) == 0
+    values = preset(name, SimConfig()).sweep_values
+    assert seen == [(kind, v) for v in values]
+    assert len(read_csv(out_dir / f"{name}.csv")) == len(values)
+    assert ">fading_param</text>" in (out_dir / f"{name}.svg").read_text()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bit_accumulation_times
 from udnsync.noma import (CompletionError, PairLink, pair_completion_noma,
                           pair_completion_oma, rate, sinr_strong,
                           sinr_strong_alone, sinr_weak)
@@ -67,36 +68,13 @@ def test_zero_noise_rejected():
         sinr_strong(link)
 
 
-def _bit_accumulation_oracle(link, tol=1e-13):
-    """Bisection on delivered bits: independent of the closed-form branches."""
-    r_weak = rate(sinr_weak(link), link.bandwidth_hz)
-    r_shared = rate(sinr_strong(link), link.bandwidth_hz)
-    r_alone = rate(sinr_strong_alone(link), link.bandwidth_hz)
-    t_weak = link.payload_bits / r_weak
-
-    def delivered(t):
-        return (r_shared * min(t, t_weak)
-                + r_alone * max(0.0, t - t_weak))
-
-    lo, hi = 0.0, 1.0
-    while delivered(hi) < link.payload_bits:
-        hi *= 2.0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2.0
-        if delivered(mid) < link.payload_bits:
-            lo = mid
-        else:
-            hi = mid
-    return hi, t_weak
-
-
 def test_completion_matches_bit_accumulation_oracle():
     rng = np.random.default_rng(42)
     checked_late_branch = 0
     for _ in range(2000):
         link = random_link(rng)
         times = pair_completion_noma(link)
-        t_strong_ref, t_weak_ref = _bit_accumulation_oracle(link)
+        t_strong_ref, t_weak_ref = bit_accumulation_times(link)
         assert times.t_weak == pytest.approx(t_weak_ref, rel=1e-9)
         assert times.t_strong == pytest.approx(t_strong_ref, rel=1e-9)
         if times.t_strong > t_weak_ref:
