@@ -18,8 +18,8 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None):
     The parameter is not re-validated per draw: ``SimConfig.validate``
     owns that. An unknown kind still raises ``ConfigError``.
 
-    Each draw is a unit-scale fill scaled in place; these are the same
-    bits that ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)`` return.
+    Each unit-scale fill is scaled in place unless the scale is 1.0: the
+    bits of ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)``.
     """
     kind, param = config.fading_kind, config.fading_param
     if kind == "rayleigh":
@@ -28,7 +28,8 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None):
         gain, scale = rng.standard_gamma(param, size), 1.0 / param
     else:
         raise ConfigError(f"unknown fading_kind {kind!r}")
-    gain *= scale
+    if scale != 1.0:
+        gain *= scale
     return gain
 
 

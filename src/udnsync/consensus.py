@@ -47,10 +47,12 @@ class ClockState:
     def remember(self, graph: InterferenceGraph) -> None:
         """Keep this snapshot's reciprocal weights (see proposed_weights).
 
-        The adjacency is zero off the mask, so masking its transpose by
+        The adjacency is zero off the mask, so zeroing its transpose off
         ``in_mask`` keeps exactly the bidirectional pairs.
         """
-        self.memory = graph.adjacency.T * graph.in_mask
+        memory = graph.adjacency.T.copy()
+        np.copyto(memory, 0.0, where=~graph.in_mask)
+        self.memory = memory
 
 
 def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
@@ -133,7 +135,7 @@ def proposed_weights(state: ClockState,
     """
     memory = 0.0 if state.memory is None else state.memory
     weights = graph.adjacency + memory
-    weights /= 2.0
+    weights *= 0.5
     return weights
 
 

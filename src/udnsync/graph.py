@@ -4,7 +4,9 @@ An edge j -> i exists when the interference power node i receives from
 node j meets the power threshold. Row i of the adjacency matrix
 distributes weight over i's incoming neighbors proportionally to their
 received power, so rows with at least one incoming neighbor sum to 1.
-Isolated nodes keep an all-zero row and simply hold their clock.
+Isolated nodes keep an all-zero row and simply hold their clock. A graph
+keeps the neighbor mask and the weights, not the powers: each build
+thresholds and normalizes one K x K buffer of received powers in place.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    power_matrix: np.ndarray   # (K, K) watts, P[i, j] = power i receives from j
     in_mask: np.ndarray        # (K, K) bool, [i, j] = j is incoming neighbor of i
     adjacency: np.ndarray      # (K, K) row-normalized weights
 
@@ -37,17 +38,17 @@ def graph_from_powers(power: np.ndarray, p0: float) -> InterferenceGraph:
 
 
 def _threshold(power: np.ndarray, p0: float) -> InterferenceGraph:
-    # takes ownership of ``power``: its diagonal is zeroed in place
+    # takes ownership of ``power`` and makes it the adjacency in place; the
+    # domain is finite, non-negative powers (what ``build_graph`` produces)
     np.fill_diagonal(power, 0.0)
     in_mask = power >= p0
     np.fill_diagonal(in_mask, False)
-    adjacency = power * in_mask
-    row_sums = adjacency.sum(axis=1, keepdims=True)
+    np.copyto(power, 0.0, where=power < p0)
+    row_sums = power.sum(axis=1, keepdims=True)
     # a row with no incoming neighbor is all zero and is divided by 1.0
     row_sums[row_sums == 0.0] = 1.0
-    adjacency /= row_sums
-    return InterferenceGraph(power_matrix=power, in_mask=in_mask,
-                             adjacency=adjacency)
+    power /= row_sums
+    return InterferenceGraph(in_mask=in_mask, adjacency=power)
 
 
 def path_gain(topology: Topology, path_loss_exp: float) -> np.ndarray:

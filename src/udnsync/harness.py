@@ -171,7 +171,7 @@ _PRESETS = {
     "fig5": ("num_subbands", (5, 10, 15), dict(num_nodes=90)),
     "fig6": ("fading_param", (0.5, 1.0, 2.0, 4.0),
              dict(fading_kind="rayleigh")),
-    # the shape-parameter effect on the gain is clearest at low SNR
+    # noise 20 dB below the -114 dBm/Hz of both scales: a higher SNR
     "fig7": ("fading_param", (1.0, 3.0),
              dict(fading_kind="nakagami", noise_density_dbm_hz=-134.0)),
     "fig8": ("num_subbands", (2, 3, 4), dict(num_nodes=36)),

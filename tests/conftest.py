@@ -1,6 +1,7 @@
 """Shared builders and checkers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def grid_topology(k: int, spacing: float = 14.0, jitter: float = 3.0,
     dist = np.sqrt((diff ** 2).sum(axis=2))
     return Topology(positions=positions, distance_matrix=dist,
                     triplets=tuple(triplets))
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
 
 
 def small_config(**overrides) -> SimConfig:

@@ -56,24 +56,27 @@ def test_sample_gain_rejects_unknown_kind(rng):
         sample_gain(fading("rician", 1.0), rng, size=3)
 
 
-def two_node_power(p_t, gain, dist, alpha):
-    """Power node 1 receives from node 0 in a two-node graph."""
+def assert_received_power(p_t, gain, dist, alpha, expected):
+    """Node 1 of a two-node graph hears node 0 at a threshold 1e-6 below
+    ``expected`` and not at one 1e-6 above it."""
     topo = grid_topology(2, spacing=dist, jitter=0.0)
-    gains = np.full((2, 2), gain)
-    graph = build_graph(p_t, path_gain(topo, alpha), gains, 0.0)
-    return graph.power_matrix[1, 0]
+    link_gain, gains = path_gain(topo, alpha), np.full((2, 2), gain)
+    for rel, edge in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        graph = build_graph(p_t, link_gain, gains, expected * rel)
+        assert graph.in_mask[1, 0] == edge
 
 
 def test_received_power_frozen_value():
     # 23 dBm, unit gain, 10 m, exponent 4 -> 0.19952623 * 1e-4 W
-    p = two_node_power(SimConfig().tx_power_w, 1.0, 10.0, 4.0)
-    assert p == pytest.approx(1.9952623e-05, rel=1e-6)
+    assert_received_power(SimConfig().tx_power_w, 1.0, 10.0, 4.0,
+                          1.9952623e-05)
 
 
 def test_received_power_scaling_law():
-    assert two_node_power(1.0, 1.0, 2.0, 4.0) == pytest.approx(2.0 ** -4)
-    assert (two_node_power(1.0, 1.0, 20.0, 4.0)
-            / two_node_power(1.0, 1.0, 10.0, 4.0)) == pytest.approx(1 / 16)
+    assert_received_power(1.0, 1.0, 2.0, 4.0, 2.0 ** -4)
+    # doubling the distance divides the power by 2^4
+    assert_received_power(1.0, 1.0, 10.0, 4.0, 1e-4)
+    assert_received_power(1.0, 1.0, 20.0, 4.0, 1e-4 / 16)
 
 
 def test_noise_power_frozen_value():

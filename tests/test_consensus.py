@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_topology, small_config
+from conftest import grid_topology, peak_traced_bytes, small_config
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
 from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
@@ -183,6 +183,22 @@ def test_run_sync_deterministic_under_seed():
     assert np.array_equal(a.iterations_used, b.iterations_used)
     for snap_a, snap_b in zip(a.snapshots, b.snapshots, strict=True):
         assert np.array_equal(snap_a.sd_per_iteration, snap_b.sd_per_iteration)
+
+
+def test_one_iteration_snapshot_allocation_budget():
+    # the fading draw, the graph, the proposed weights and the refreshed
+    # memory, at most three alive at once, plus bool masks: 3.26 K^2
+    # floats measured; one more float array alive at the peak breaks it
+    k = 250
+    cfg = SimConfig(num_nodes=k, max_iters=1)
+    rng = np.random.default_rng(k)
+    gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
+    state = init_clocks(cfg, rng)
+    state.remember(build_graph(cfg.tx_power_w, gain,
+                               sample_interference_gains(cfg, rng),
+                               cfg.power_threshold_w))
+    peak = peak_traced_bytes(lambda: run_snapshot(state, cfg, gain, rng))
+    assert peak < 3.8 * k * k * 8
 
 
 @pytest.mark.parametrize("snapshots,iters", [(1, 1), (3, 40)])
