@@ -32,11 +32,6 @@ class InterferenceGraph:
         return self.adjacency.shape[0]
 
 
-def graph_from_powers(power: np.ndarray, p0: float) -> InterferenceGraph:
-    """Threshold a received-power matrix and row-normalize the weights."""
-    return _threshold(np.array(power, dtype=float), p0)
-
-
 def _threshold(power: np.ndarray, p0: float) -> InterferenceGraph:
     # takes ownership of ``power`` and makes it the adjacency in place; the
     # domain is finite, non-negative powers (what ``build_graph`` produces)

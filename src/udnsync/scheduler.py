@@ -21,20 +21,18 @@ search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
 fallback matching is also the round's OMA outcome. The rate kernel runs
 once per round over the whole grid; the points are then matched in
-ascending order of a bottleneck lower bound on their delay, stopping at
-the first that cannot beat the best so far, which returns what matching
-every point would. The stable matching and the swap loop only compare
-times, so a point whose times fall in the same order, with the same
-ties, as a point already matched gets that point's matching and swap
-stats; the walk reuses them and reads only the point's own delay. When
-triplets outnumber sub-bands, unmatched triplets defer to later rounds
-and the total exchange delay sums the round maxima.
+waves, in ascending order of a bottleneck lower bound on their delay.
+The first wave is the lowest point alone; each later wave is every point
+left whose bound can still beat the best delay so far, matched at once
+as one stack of tables. Every point that could win is matched, so the
+walk returns what matching every point would. When triplets outnumber
+sub-bands, unmatched triplets defer to later rounds and the total
+exchange delay sums the round maxima.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,11 +91,6 @@ class Assignment:
     """Partial one-to-one map sub-band -> triplet."""
 
     sb_to_triplet: dict[int, int] = field(default_factory=dict)
-
-    def check(self) -> None:
-        triplets = list(self.sb_to_triplet.values())
-        if len(set(triplets)) != len(triplets):
-            raise SchedulerError("assignment is not injective")
 
     def max_time(self, times: np.ndarray) -> float:
         if not self.sb_to_triplet:
@@ -174,10 +167,8 @@ def swap_until_stable(assignment: Assignment, times: np.ndarray,
         s1, s2 = move
         owner[s1], owner[s2] = owner[s2], owner[s1]
         stats.accepted_swaps += 1
-    new = Assignment(sb_to_triplet={s: t for s, t in enumerate(owner)
-                                    if t is not None})
-    new.check()
-    return new, stats
+    return Assignment(sb_to_triplet={s: t for s, t in enumerate(owner)
+                                     if t is not None}), stats
 
 
 def _best_move(rows, owner):
@@ -221,6 +212,112 @@ def _best_move(rows, owner):
             if row1[s2] < old1:
                 return s1, s2
     return None
+
+
+def _match_stack(times: np.ndarray, max_iters: int):
+    """``swap_until_stable(stable_marriage(*build_preferences(t)), t,
+    max_iters)`` for every table t of a (P, T, N) stack, as array
+    operations over the stack. Returns (owner, iterations, accepted):
+    owner[p, s] is the triplet on sub-band s of table p, or -1 when s is
+    idle, and the last two are each table's swap steps and accepted moves.
+    """
+    num_p, num_t, num_s = times.shape
+    size, n = num_t * num_s, min(num_t, num_s)
+    tables = np.arange(num_p)
+    # the stable walk keeps, at each step, the free pair that comes first
+    # in preference order: the least order position left once the rows
+    # and columns already matched are blanked with a position past the end
+    rank = np.empty((num_p, size), dtype=np.intp)
+    rank[tables[:, None], np.argsort(times.reshape(num_p, size), axis=1,
+                                     kind="stable")] = np.arange(size)
+    rank = rank.reshape(times.shape)
+    owner = np.full((num_p, num_s), -1)
+    for _ in range(n):
+        t, s = np.divmod(rank.reshape(num_p, size).argmin(axis=1), num_s)
+        owner[tables, s] = t
+        rank[tables, t, :] = size
+        rank[tables, :, s] = size
+    # the swap loop, one _best_move step for every table still moving. An
+    # idle sub-band's owner, -1, indexes a phantom triplet whose times are
+    # all -inf: its current time is below every matched one, so it is
+    # never among the three largest, and exchanging k with it prices k's
+    # relocation there, while a Pareto exchange with it is a relocation
+    # that helps the other triplet.
+    padded = np.concatenate([times, np.full((num_p, 1, num_s), -np.inf)],
+                            axis=1)
+    idle = n < num_s
+    subbands = np.arange(num_s)
+    iterations = np.zeros(num_p, dtype=np.intp)
+    accepted = np.zeros(num_p, dtype=np.intp)
+    active = tables
+    for _ in range(max_iters):
+        if not active.size:
+            break
+        iterations[active] += 1
+        own = owner[active]
+        rows = np.arange(active.size)
+        # cost[p, s, s2]: the time of sub-band s's triplet on sub-band s2
+        cost = padded[active[:, None], own]
+        current = cost[:, subbands, subbands]
+        # the bottleneck k and the two largest times after it, first
+        # occurrences winning ties, as in _best_move's stable sort
+        k = current.argmax(axis=1)
+        best = current[rows, k]
+        rest = current.copy()
+        rest[rows, k] = -np.inf
+        k2 = rest.argmax(axis=1)
+        second = rest[rows, k2] if n > 1 else np.zeros(active.size)
+        rest[rows, k2] = -np.inf
+        third = rest.max(axis=1) if n > 2 else np.zeros(active.size)
+        # the maximum after moving k to each sub-band, laid out as in
+        # _best_move: exchanges by ascending sub-band, then relocations;
+        # k's own entry is its current maximum, so it never wins
+        value = np.maximum(
+            np.where(subbands == k2[:, None], third[:, None], second[:, None]),
+            np.maximum(cost[rows, k], cost[rows, :, k]))
+        if idle:
+            on = own >= 0
+            value = np.concatenate([np.where(on, value, np.inf),
+                                    np.where(on, np.inf, value)], axis=1)
+        first = value.argmin(axis=1)
+        moved = value[rows, first] < best
+        flat = k * num_s + first % num_s
+        if not moved.all():
+            # failing that, the first Pareto exchange, then the first
+            # relocation that helps, each in row-major (s1, s2) order; the
+            # exchanges are symmetric in (s1, s2) and never (s, s), so the
+            # first lies above the diagonal, where _best_move scans
+            old1, old2 = current[:, :, None], current[:, None, :]
+            swapped = cost.transpose(0, 2, 1)
+            moves = ((cost <= old1) & (swapped <= old2)
+                     & ((cost < old1) | (swapped < old2)))
+            if idle:
+                from_on = on[:, :, None]
+                moves = np.concatenate([moves & from_on & on[:, None, :],
+                                        moves & from_on & ~on[:, None, :]],
+                                       axis=1)
+            moves = moves.reshape(active.size, -1)
+            pick = moves.argmax(axis=1)
+            flat = np.where(moved, flat, pick % (num_s * num_s))
+            moved |= moves[rows, pick]
+        s1, s2 = np.divmod(flat[moved], num_s)
+        active = active[moved]
+        owner[active, s1], owner[active, s2] = (owner[active, s2],
+                                                owner[active, s1])
+        accepted[active] += 1
+    return owner, iterations, accepted
+
+
+def _unstack(owner: np.ndarray, iterations, accepted
+             ) -> tuple[Assignment, SwapStats]:
+    """One table's ``swap_until_stable`` result from its row of
+    ``_match_stack``'s owner, iterations and accepted moves."""
+    assignment = Assignment(sb_to_triplet={
+        s: t for s, t in enumerate(owner.tolist()) if t >= 0})
+    n, steps = len(assignment.sb_to_triplet), int(iterations)
+    return assignment, SwapStats(
+        iterations=steps, accepted_swaps=int(accepted),
+        candidate_swaps_per_iteration=[n * (n - 1) // 2] * steps)
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +405,17 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     delay is its matching's maximum time at that split. When T <= N
     every triplet is matched, and when T >= N every sub-band is, so the
     largest per-triplet (resp. per-sub-band) minimum time bounds a
-    point's delay from below (Gross 1959). Points are matched in
-    ascending (bound, index) order, and the walk stops at the first
-    whose (bound, index) is not below the best (delay, index): no later
-    point can win.
+    point's delay from below (Gross 1959), and a point whose (bound,
+    index) is not below the best (delay, index) found cannot win.
 
-    A walked point is keyed by its preference order and its tie pattern:
-    which neighbours in that order have equal times. The stable matching
-    reads only the order, and the swap loop only compares times and
-    their maxima with each other (and with a 0.0 below every time). So
-    all points with one key get the same assignment and swap stats: the
-    first is matched, the rest reuse its pair, and each point's delay is
-    read from its own times.
+    Points are matched in waves, in ascending (bound, index) order. The
+    first wave is the lowest point alone, matched by the scalar path;
+    each later wave is every point not yet matched whose (bound, index)
+    is below the best (delay, index) so far, matched at once by
+    ``_match_stack``; the walk ends when no point is left below it. Every
+    point with (bound, index) below the final best is matched, so the
+    result is the argmin of (delay, index) over the whole grid, with the
+    assignment and swap stats that matching that point alone gives.
 
     The orthogonal mode is evaluated as a fallback: on rounds whose
     pairs are too heterogeneous for any single split, the scheduler
@@ -341,23 +437,24 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
         _min_over(all_times, 2).max(axis=1) if num_t <= num_s else -np.inf,
         _min_over(all_times, 1).max(axis=1) if num_t >= num_s else -np.inf)
     bounds = bound.tolist()
-    best = (math.inf, len(grid), None, None)  # (delay, index, assignment, stats)
-    matchings = {}  # (order, tie pattern) -> (assignment, stats)
-    for i in np.argsort(bound, kind="stable").tolist():
-        if (bounds[i], i) >= best[:2]:
-            break
-        times = all_times[i]
-        rows, cols = build_preferences(times)
-        ordered = times[rows, cols]
-        key = (rows.tobytes(), cols.tobytes(),
-               (ordered[1:] == ordered[:-1]).tobytes())
-        if key not in matchings:
-            matchings[key] = swap_until_stable(
-                stable_marriage(rows, cols), times, config.swap_max_iters)
-        assignment, stats = matchings[key]
-        delay = assignment.max_time(times)
+    order = np.argsort(bound, kind="stable").tolist()
+    assignment, stats = _match_round(all_times[order[0]], config.swap_max_iters)
+    best = (assignment.max_time(all_times[order[0]]), order[0], assignment,
+            stats)
+    rest = order[1:]
+    while rest and (bounds[rest[0]], rest[0]) < best[:2]:
+        size = next((j for j, i in enumerate(rest)
+                     if (bounds[i], i) >= best[:2]), len(rest))
+        wave, rest = rest[:size], rest[size:]
+        times = all_times[wave]
+        owner, iterations, accepted = _match_stack(times,
+                                                   config.swap_max_iters)
+        # an idle sub-band's -1 reads the last triplet, which is masked off
+        held = np.where(owner >= 0, times[np.arange(size)[:, None], owner,
+                                          np.arange(num_s)], -np.inf)
+        delay, i, p = min(zip(held.max(axis=1).tolist(), wave, range(size)))
         if (delay, i) < best[:2]:
-            best = (delay, i, assignment, stats)
+            best = (delay, i, *_unstack(owner[p], iterations[p], accepted[p]))
     assignment, stats = _match_round(oma_times(links), config.swap_max_iters)
     orthogonal = _round_outcome(links, assignment, None, stats, triplet_ids)
     if orthogonal.round_max < best[0]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from udnsync.config import SimConfig
+from udnsync.graph import InterferenceGraph, build_graph
 from udnsync.noma import (PairLink, rate, sinr_strong, sinr_strong_alone,
                           sinr_weak)
 from udnsync.topology import Topology
@@ -26,6 +27,14 @@ def grid_topology(k: int, spacing: float = 14.0, jitter: float = 3.0,
     dist = np.sqrt((diff ** 2).sum(axis=2))
     return Topology(positions=positions, distance_matrix=dist,
                     triplets=tuple(triplets))
+
+
+def graph_from_powers(power, p0: float) -> InterferenceGraph:
+    """Threshold a received-power matrix and row-normalize the weights:
+    ``build_graph`` at unit transmit power and unit fading gains, whose
+    products leave every power unchanged."""
+    power = np.asarray(power, dtype=float)
+    return build_graph(1.0, power, np.ones_like(power), p0)
 
 
 def peak_traced_bytes(fn) -> int:

@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_topology, peak_traced_bytes, small_config
+from conftest import (graph_from_powers, grid_topology, peak_traced_bytes,
+                      small_config)
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
 from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
                                run_snapshot, run_sync, timing_sd,
                                update_baseline, update_proposed)
-from udnsync.graph import build_graph, graph_from_powers, path_gain
+from udnsync.graph import build_graph, path_gain
 from udnsync.harness import preset
 from udnsync.topology import place_nodes
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import grid_topology, peak_traced_bytes
+from conftest import graph_from_powers, grid_topology, peak_traced_bytes
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
 from udnsync.consensus import ClockState
 from udnsync.graph import (GraphError, build_graph, connectivity_factor,
-                           graph_from_powers, path_gain)
+                           path_gain)
 from udnsync.topology import place_nodes
 
 

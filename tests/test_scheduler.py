@@ -15,7 +15,8 @@ from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
                           oma_leg_times, oma_times, pair_completion_noma,
                           pair_completion_oma)
 from udnsync.scheduler import (Assignment, SchedulerError, _match_round,
-                               alpha_grid, build_links, build_preferences,
+                               _match_stack, _unstack, alpha_grid,
+                               build_links, build_preferences,
                                grid_search_alpha, schedule_exchange,
                                stable_marriage, swap_until_stable, SwapStats)
 from udnsync.topology import Topology, place_nodes
@@ -425,6 +426,35 @@ def test_swap_loop_equals_reference_loop_under_cap(cap):
         assert stats == ref_stats
 
 
+def test_match_stack_equals_scalar_path():
+    # same-shape tables of every _random_times kind, stacked 1-4 at a
+    # time as they come, each stack under one of the caps
+    rng = np.random.default_rng(2029)
+    buckets: dict[tuple, list] = {}
+    stacks = i = 0
+    while stacks < 5000:
+        times = _random_times(rng, i)
+        i += 1
+        bucket = buckets.setdefault(times.shape, [])
+        bucket.append(times)
+        if len(bucket) < 1 + stacks % 4:
+            continue
+        cap = (1, 2, 3, 100)[stacks // 4 % 4]
+        owner, iterations, accepted = _match_stack(np.stack(bucket), cap)
+        for p, table in enumerate(bucket):
+            got = _unstack(owner[p], iterations[p], accepted[p])
+            expected = swap_until_stable(
+                stable_marriage(*build_preferences(table)), table, cap)
+            for assignment, _ in (got, expected):
+                triplets = list(assignment.sb_to_triplet.values())
+                assert len(set(triplets)) == len(triplets)
+            assert list(got[0].sb_to_triplet.items()) == list(
+                expected[0].sb_to_triplet.items())
+            assert got[1] == expected[1]
+        bucket.clear()
+        stacks += 1
+
+
 def test_swap_exchange_improving_both_is_applied():
     times = np.array([[1.0, 5.0, 9.0],
                       [5.0, 1.0, 9.0],
@@ -510,8 +540,8 @@ def test_swap_until_stable_respects_cap(rng):
 
 
 def test_matching_sees_only_the_order_and_ties_of_times():
-    # the premise of the split search's reuse: replacing every time by
-    # its dense rank keeps the stable matching, the swaps and their stats
+    # the stable matching and the swap loop only compare times: replacing
+    # every time by its dense rank keeps the matching, the swaps and stats
     rng = np.random.default_rng(2028)
     unequal = 0
     for i in range(1500):
@@ -651,9 +681,9 @@ UNTIED = np.array([[1.0, 2.5, 9.0], [2.0, 3.0, 9.0]])
 
 
 def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
-    # both bounds are 2, so the tied point is walked first (delay 3) and
-    # the untied one second; reusing the tied matching there would read
-    # 3 instead of 2.5 and keep the wrong split
+    # both bounds are 2, so the tied point is matched first (delay 3) and
+    # the untied one in the next wave; giving it the tied point's matching
+    # would read 3 instead of 2.5 and keep the wrong split
     tensor = np.stack([TIED, UNTIED, np.full((2, 3), 20.0)])
     reference_times = _fake_kernel(monkeypatch, tensor, 0.5)
     links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
@@ -664,25 +694,29 @@ def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
     _assert_equals_reference(outcome, reference)
 
 
-def test_grid_search_matches_a_repeated_order_once(monkeypatch):
-    # exact binary scalings of one table share its order and ties; every
-    # bound (2c) is below the first delay (3), so all five are walked
+def test_grid_search_matches_later_points_in_one_wave(monkeypatch):
+    # exact binary scalings of one table; every bound (2c) is below the
+    # first point's delay (3), so the first wave is that point alone and
+    # the second holds the other four
     step = 0.25
     tensor = np.stack([TIED * c for c in (1.0, 1.0625, 1.125, 1.1875, 1.25)])
     _fake_kernel(monkeypatch, tensor, step)
-    calls = {"build_preferences": 0, "swap_until_stable": 0}
+    calls = {"build_preferences": [], "swap_until_stable": [],
+             "_match_stack": []}
     for name in calls:
         original = getattr(scheduler, name)
 
         def counted(*args, name=name, original=original):
-            calls[name] += 1
+            calls[name].append(args)
             return original(*args)
 
         monkeypatch.setattr(scheduler, name, counted)
     links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
     outcome, _ = grid_search_alpha(links, SimConfig(power_grid_step=step))
-    # five walked points and the OMA matching; one NOMA matching and OMA's
-    assert calls == {"build_preferences": 6, "swap_until_stable": 2}
+    # the scalar path matches the first point and OMA; one stack the rest
+    assert len(calls["build_preferences"]) == 2
+    assert len(calls["swap_until_stable"]) == 2
+    assert [args[0].shape for args in calls["_match_stack"]] == [(4, 2, 3)]
     assert outcome.alpha_strong == 0.0 and outcome.round_max == 3.0
 
 
