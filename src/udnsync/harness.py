@@ -44,6 +44,11 @@ class ExperimentSpec:
                 f"float field of SimConfig")
         if not self.sweep_values:
             raise HarnessError("sweep values must be nonempty")
+        if FIELD_TYPES[self.swept_parameter] is int and not all(
+                float(v).is_integer() for v in self.sweep_values):
+            raise HarnessError(
+                f"cannot sweep {self.swept_parameter!r} over "
+                f"{self.sweep_values}: not all integral")
         if self.replications < 1:
             raise HarnessError("replications must be >= 1")
         self.base_config.validate()

@@ -20,19 +20,21 @@ The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
 fallback matching is also the round's OMA outcome. The rate kernel runs
-once per round over the whole grid; the points are then matched in
-waves, in ascending order of a bottleneck lower bound on their delay.
-The first wave is the lowest point alone; each later wave is every point
-left whose bound can still beat the best delay so far, matched at once
-as one stack of tables. Every point that could win is matched, so the
-walk returns what matching every point would. When triplets outnumber
-sub-bands, unmatched triplets defer to later rounds and the total
-exchange delay sums the round maxima.
+once per round over the whole grid, and the walk then takes two
+matching steps: the point with the lowest bottleneck lower bound on its
+delay alone, then, as one stack of tables, every other point whose
+bound is below that first delay. No point outside the two steps can
+win, so the walk returns what matching every point would. A round
+outcome keeps its links, from which ``ScheduleOutcome.to_csv`` derives
+the per-leg times it writes. When triplets outnumber sub-bands,
+unmatched triplets defer to later rounds and the total exchange delay
+sums the round maxima.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,9 +219,10 @@ def _best_move(rows, owner):
 def _match_stack(times: np.ndarray, max_iters: int):
     """``swap_until_stable(stable_marriage(*build_preferences(t)), t,
     max_iters)`` for every table t of a (P, T, N) stack, as array
-    operations over the stack. Returns (owner, iterations, accepted):
-    owner[p, s] is the triplet on sub-band s of table p, or -1 when s is
-    idle, and the last two are each table's swap steps and accepted moves.
+    operations over the stack. Returns (owner, delay, iterations,
+    accepted): owner[p, s] is the triplet on sub-band s of table p, or -1
+    when s is idle, delay[p] is the largest time that table p's matching
+    holds, and the last two are each table's swap steps and accepted moves.
     """
     num_p, num_t, num_s = times.shape
     size, n = num_t * num_s, min(num_t, num_s)
@@ -305,7 +308,8 @@ def _match_stack(times: np.ndarray, max_iters: int):
         owner[active, s1], owner[active, s2] = (owner[active, s2],
                                                 owner[active, s1])
         accepted[active] += 1
-    return owner, iterations, accepted
+    delay = padded[tables[:, None], owner, subbands].max(axis=1)
+    return owner, delay, iterations, accepted
 
 
 def _unstack(owner: np.ndarray, iterations, accepted
@@ -328,11 +332,10 @@ def _unstack(owner: np.ndarray, iterations, accepted
 class RoundOutcome:
     assignment: Assignment
     alpha_strong: float | None      # None for the orthogonal baseline
-    t_strong: np.ndarray            # (T, N) leg times at this round's split
-    t_weak: np.ndarray
     round_max: float
     swap_stats: SwapStats
     triplet_ids: np.ndarray         # global triplet index per local row
+    links: RoundLinks               # this round's triplets, local rows
 
 
 @dataclass
@@ -349,29 +352,16 @@ class ScheduleOutcome:
             writer.writerow(["round", "sub_band", "triplet", "alpha",
                              "t_strong", "t_weak", "t_pair"])
             for i, rnd in enumerate(self.rounds, start=1):
+                legs = (oma_leg_times(rnd.links) if rnd.alpha_strong is None
+                        else noma_leg_times(rnd.links, rnd.alpha_strong))
                 for s, t in sorted(rnd.assignment.sb_to_triplet.items()):
-                    t_strong = float(rnd.t_strong[t, s])
-                    t_weak = float(rnd.t_weak[t, s])
+                    t_strong, t_weak = (float(leg[t, s]) for leg in legs)
                     writer.writerow([
                         i, s, int(rnd.triplet_ids[t]),
                         "" if rnd.alpha_strong is None else rnd.alpha_strong,
                         repr(t_strong), repr(t_weak),
                         repr(max(t_strong, t_weak)),
                     ])
-
-
-def _round_outcome(links: RoundLinks, assignment: Assignment,
-                   alpha_strong: float | None, stats: SwapStats,
-                   triplet_ids: np.ndarray) -> RoundOutcome:
-    if alpha_strong is None:
-        t_strong, t_weak = oma_leg_times(links)
-    else:
-        t_strong, t_weak = noma_leg_times(links, alpha_strong)
-    return RoundOutcome(assignment=assignment, alpha_strong=alpha_strong,
-                        t_strong=t_strong, t_weak=t_weak,
-                        round_max=assignment.max_time(
-                            np.maximum(t_strong, t_weak)),
-                        swap_stats=stats, triplet_ids=triplet_ids)
 
 
 def _match_round(times: np.ndarray, max_iters: int):
@@ -408,14 +398,14 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     point's delay from below (Gross 1959), and a point whose (bound,
     index) is not below the best (delay, index) found cannot win.
 
-    Points are matched in waves, in ascending (bound, index) order. The
-    first wave is the lowest point alone, matched by the scalar path;
-    each later wave is every point not yet matched whose (bound, index)
-    is below the best (delay, index) so far, matched at once by
-    ``_match_stack``; the walk ends when no point is left below it. Every
-    point with (bound, index) below the final best is matched, so the
-    result is the argmin of (delay, index) over the whole grid, with the
-    assignment and swap stats that matching that point alone gives.
+    The walk takes two matching steps. The scalar path matches the point
+    lowest in (bound, index); one ``_match_stack`` call then matches every
+    other point whose (bound, index) is below that point's (delay,
+    index). The points ascend in (bound, index), so each point left is
+    at or above that first (delay, index), which the best only lowers,
+    and none of them can win: the result is the argmin of (delay, index)
+    over the whole grid, with the assignment and swap stats that matching
+    that point alone gives.
 
     The orthogonal mode is evaluated as a fallback: on rounds whose
     pairs are too heterogeneous for any single split, the scheduler
@@ -438,37 +428,33 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
         _min_over(all_times, 1).max(axis=1) if num_t >= num_s else -np.inf)
     bounds = bound.tolist()
     order = np.argsort(bound, kind="stable").tolist()
-    assignment, stats = _match_round(all_times[order[0]], config.swap_max_iters)
-    best = (assignment.max_time(all_times[order[0]]), order[0], assignment,
-            stats)
-    rest = order[1:]
-    while rest and (bounds[rest[0]], rest[0]) < best[:2]:
-        size = next((j for j, i in enumerate(rest)
-                     if (bounds[i], i) >= best[:2]), len(rest))
-        wave, rest = rest[:size], rest[size:]
-        times = all_times[wave]
-        owner, iterations, accepted = _match_stack(times,
-                                                   config.swap_max_iters)
-        # an idle sub-band's -1 reads the last triplet, which is masked off
-        held = np.where(owner >= 0, times[np.arange(size)[:, None], owner,
-                                          np.arange(num_s)], -np.inf)
-        delay, i, p = min(zip(held.max(axis=1).tolist(), wave, range(size)))
+    first = order[0]
+    assignment, stats = _match_round(all_times[first], config.swap_max_iters)
+    best = (assignment.max_time(all_times[first]), first, assignment, stats)
+    rivals = list(itertools.takewhile(lambda i: (bounds[i], i) < best[:2],
+                                      order[1:]))
+    if rivals:
+        owner, delays, iterations, accepted = _match_stack(
+            all_times[rivals], config.swap_max_iters)
+        delay, i, p = min(zip(delays.tolist(), rivals, range(len(rivals))))
         if (delay, i) < best[:2]:
             best = (delay, i, *_unstack(owner[p], iterations[p], accepted[p]))
-    assignment, stats = _match_round(oma_times(links), config.swap_max_iters)
-    orthogonal = _round_outcome(links, assignment, None, stats, triplet_ids)
+    oma = oma_times(links)
+    assignment, stats = _match_round(oma, config.swap_max_iters)
+    orthogonal = RoundOutcome(assignment, None, assignment.max_time(oma),
+                              stats, triplet_ids, links)
     if orthogonal.round_max < best[0]:
         return orthogonal, orthogonal
-    _, i, assignment, stats = best
-    return (_round_outcome(links, assignment, float(grid[i]), stats,
-                           triplet_ids),
+    delay, i, assignment, stats = best
+    return (RoundOutcome(assignment, float(grid[i]), delay, stats,
+                         triplet_ids, links),
             orthogonal)
 
 
-def _partition_rounds(links: RoundLinks, times: np.ndarray) -> list[np.ndarray]:
+def _partition_rounds(times: np.ndarray) -> list[np.ndarray]:
     """Split triplets into ceil(T/N) rounds: each round is the stable
     matching of the triplets left unmatched by the rounds before it."""
-    remaining = np.arange(links.num_triplets)
+    remaining = np.arange(times.shape[0])
     rounds = []
     while remaining.size:
         assignment = stable_marriage(*build_preferences(times[remaining]))
@@ -491,7 +477,7 @@ def schedule_exchange(topology: Topology, config: SimConfig,
     """
     fading = sample_link_gains(config, len(topology.triplets), rng)
     links = build_links(topology, config, fading)
-    rounds = _partition_rounds(links, oma_times(links))
+    rounds = _partition_rounds(oma_times(links))
 
     noma_outcome = ScheduleOutcome()
     oma_outcome = ScheduleOutcome()

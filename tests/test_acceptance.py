@@ -136,7 +136,7 @@ def scheduling_corpus():
         topo = place_nodes(cfg, rng)
         links = build_links(topo, cfg, sample_link_gains(cfg, kp, rng))
         records = []
-        for ids in _partition_rounds(links, oma_times(links)):
+        for ids in _partition_rounds(oma_times(links)):
             sub = links.subset(ids)
             rnd, _ = grid_search_alpha(sub, cfg)
             times_o = oma_times(sub)
@@ -285,7 +285,7 @@ def test_criterion_09_brute_force_blocking_and_gap():
         topo = place_nodes(cfg, rng)
         links = build_links(topo, cfg, sample_link_gains(cfg, kp, rng))
         total = optimum = 0.0
-        for ids in _partition_rounds(links, oma_times(links)):
+        for ids in _partition_rounds(oma_times(links)):
             sub = links.subset(ids)
             rnd, _ = grid_search_alpha(sub, cfg)
             times = (oma_times(sub) if rnd.alpha_strong is None

@@ -41,6 +41,12 @@ def test_spec_validation():
             tiny_spec(swept_parameter=name).validate()
     with pytest.raises(HarnessError):
         tiny_spec(sweep_values=()).validate()
+    # an int field would run int(2.5) = 2 while its row reports 2.5
+    tiny_spec(swept_parameter="num_subbands", sweep_values=(2, 3.0)).validate()
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(HarnessError):
+            tiny_spec(swept_parameter="num_subbands",
+                      sweep_values=(2, bad)).validate()
     with pytest.raises(HarnessError):
         tiny_spec(replications=0).validate()
 

@@ -440,11 +440,13 @@ def test_match_stack_equals_scalar_path():
         if len(bucket) < 1 + stacks % 4:
             continue
         cap = (1, 2, 3, 100)[stacks // 4 % 4]
-        owner, iterations, accepted = _match_stack(np.stack(bucket), cap)
+        owner, delay, iterations, accepted = _match_stack(np.stack(bucket),
+                                                          cap)
         for p, table in enumerate(bucket):
             got = _unstack(owner[p], iterations[p], accepted[p])
             expected = swap_until_stable(
                 stable_marriage(*build_preferences(table)), table, cap)
+            assert delay[p] == expected[0].max_time(table)
             for assignment, _ in (got, expected):
                 triplets = list(assignment.sb_to_triplet.values())
                 assert len(set(triplets)) == len(triplets)
@@ -645,7 +647,15 @@ def _decade_gains(links):
 
 
 @pytest.mark.parametrize("step", [0.0025, 0.05, 0.25])
-def test_grid_search_equals_per_point_reference(step):
+def test_grid_search_equals_per_point_reference(step, monkeypatch):
+    # and the walk's second step is at most one stack of rival points
+    stacks, match_stack = [], scheduler._match_stack
+
+    def counted(times, max_iters):
+        stacks.append(times.shape)
+        return match_stack(times, max_iters)
+
+    monkeypatch.setattr(scheduler, "_match_stack", counted)
     rng = np.random.default_rng(31)
     cfg = SimConfig(power_grid_step=step)
     for num_t, num_s in ((1, 1), (2, 5), (3, 3), (4, 6), (5, 5), (6, 3),
@@ -653,22 +663,22 @@ def test_grid_search_equals_per_point_reference(step):
         for _ in range(4):
             links = random_links(rng, num_t, num_s)
             for case in (links, _decade_gains(links)):
+                stacks.clear()
                 outcome, _ = grid_search_alpha(case, cfg)
+                assert len(stacks) <= 1
                 _assert_equals_reference(outcome,
                                          _grid_search_reference(case, cfg))
 
 
 def _fake_kernel(monkeypatch, tensor, step):
-    """Make the scheduler's kernels return ``tensor`` over the grid of
-    ``step``: the whole tensor for the grid, one point for a split."""
+    """Make the scheduler's kernel return ``tensor`` over the grid of
+    ``step``; returns the same fake, which gives one point for a split."""
     def times(links, alpha_strong):
         if np.ndim(alpha_strong):
             return tensor
         return tensor[round(alpha_strong / step)]
 
     monkeypatch.setattr("udnsync.scheduler.noma_times", times)
-    monkeypatch.setattr("udnsync.scheduler.noma_leg_times",
-                        lambda links, a: (times(links, a),) * 2)
     return times
 
 
@@ -682,8 +692,8 @@ UNTIED = np.array([[1.0, 2.5, 9.0], [2.0, 3.0, 9.0]])
 
 def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
     # both bounds are 2, so the tied point is matched first (delay 3) and
-    # the untied one in the next wave; giving it the tied point's matching
-    # would read 3 instead of 2.5 and keep the wrong split
+    # the untied one as the rival stack; giving it the tied point's
+    # matching would read 3 instead of 2.5 and keep the wrong split
     tensor = np.stack([TIED, UNTIED, np.full((2, 3), 20.0)])
     reference_times = _fake_kernel(monkeypatch, tensor, 0.5)
     links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
@@ -696,8 +706,8 @@ def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
 
 def test_grid_search_matches_later_points_in_one_wave(monkeypatch):
     # exact binary scalings of one table; every bound (2c) is below the
-    # first point's delay (3), so the first wave is that point alone and
-    # the second holds the other four
+    # first point's delay (3), so the first step matches that point alone
+    # and the second stacks the other four
     step = 0.25
     tensor = np.stack([TIED * c for c in (1.0, 1.0625, 1.125, 1.1875, 1.25)])
     _fake_kernel(monkeypatch, tensor, step)
@@ -831,18 +841,33 @@ def test_schedule_requires_triplets(rng):
 
 
 def test_outcome_csv_round_trip(tmp_path, rng):
-    cfg, topo = schedule_setup(rng, 12, 2)
-    noma, _ = schedule_exchange(topo, cfg, rng)
-    out = tmp_path / "schedule.csv"
-    noma.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "round,sub_band,triplet,alpha,t_strong,t_weak,t_pair"
-    body = [line.split(",") for line in lines[1:]]
-    assert len(body) == sum(len(r.assignment.sb_to_triplet)
-                            for r in noma.rounds)
-    for rec in body:
-        assert float(rec[6]) == pytest.approx(
-            max(float(rec[4]), float(rec[5])))
+    # a unit step leaves only the two starving splits, so every round
+    # falls back to OMA and writes the orthogonal legs
+    for step in (0.0025, 1.0):
+        cfg, topo = schedule_setup(rng, 12, 2)
+        cfg = cfg.with_overrides(power_grid_step=step)
+        noma, _ = schedule_exchange(topo, cfg, rng)
+        out = tmp_path / "schedule.csv"
+        noma.to_csv(out)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == ("round,sub_band,triplet,alpha,"
+                            "t_strong,t_weak,t_pair")
+        body = [line.split(",") for line in lines[1:]]
+        assert len(body) == sum(len(r.assignment.sb_to_triplet)
+                                for r in noma.rounds)
+        for rec in body:
+            assert float(rec[6]) == pytest.approx(
+                max(float(rec[4]), float(rec[5])))
+        if step == 1.0:
+            rows = iter(body)
+            for rnd in noma.rounds:
+                assert rnd.alpha_strong is None
+                t_strong, t_weak = oma_leg_times(rnd.links)
+                for s, t in sorted(rnd.assignment.sb_to_triplet.items()):
+                    rec = next(rows)
+                    assert rec[3] == ""
+                    assert float(rec[4]) == t_strong[t, s]
+                    assert float(rec[5]) == t_weak[t, s]
 
 
 GOLDEN_SCHEDULE = Path(__file__).parent / "data" / "schedule_k21_n3.csv"
