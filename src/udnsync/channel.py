@@ -7,7 +7,8 @@ import numpy as np
 from udnsync.config import ConfigError, SimConfig, dbm_to_watts
 
 
-def sample_gain(config: SimConfig, rng: np.random.Generator, size=None):
+def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
+                out: np.ndarray | None = None):
     """Sample power gains |h|^2 under ``config.fading_kind``.
 
     Rayleigh amplitude fading gives exponentially distributed power with
@@ -19,13 +20,14 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None):
     owns that. An unknown kind still raises ``ConfigError``.
 
     Each unit-scale fill is scaled in place unless the scale is 1.0: the
-    bits of ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)``.
+    bits of ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)``, drawn
+    into the float64 array ``out`` when it is given.
     """
     kind, param = config.fading_kind, config.fading_param
     if kind == "rayleigh":
-        gain, scale = rng.standard_exponential(size), param
+        gain, scale = rng.standard_exponential(size, out=out), param
     elif kind == "nakagami":
-        gain, scale = rng.standard_gamma(param, size), 1.0 / param
+        gain, scale = rng.standard_gamma(param, size, out=out), 1.0 / param
     else:
         raise ConfigError(f"unknown fading_kind {kind!r}")
     if scale != 1.0:
@@ -38,10 +40,11 @@ def noise_power(config: SimConfig) -> float:
     return dbm_to_watts(config.noise_density_dbm_hz) * config.subband_bandwidth_hz
 
 
-def sample_interference_gains(config: SimConfig,
-                              rng: np.random.Generator) -> np.ndarray:
+def sample_interference_gains(config: SimConfig, rng: np.random.Generator,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """A (K, K) fading draw, into ``out`` when given (see sample_gain)."""
     k = config.num_nodes
-    return sample_gain(config, rng, size=(k, k))
+    return sample_gain(config, rng, size=(k, k), out=out)
 
 
 def sample_link_gains(config: SimConfig, num_triplets: int,

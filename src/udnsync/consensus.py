@@ -8,6 +8,10 @@ reciprocal weight remembered from the previous synchronized snapshot;
 that memory is refreshed exactly once, at snapshot end. Temperature
 skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
+
+``run_sync`` holds two K x K buffers, for the fading and the graph built
+over it and for the weights; the memory is refreshed in place. So no
+iteration allocates a K x K float array.
 """
 
 from __future__ import annotations
@@ -45,14 +49,16 @@ class ClockState:
     memory: np.ndarray | None = None     # reciprocal weights of last snapshot
 
     def remember(self, graph: InterferenceGraph) -> None:
-        """Keep this snapshot's reciprocal weights (see proposed_weights).
+        """Keep this snapshot's reciprocal weights (see proposed_weights),
+        in place once there is a memory.
 
         The adjacency is zero off the mask, so zeroing its transpose off
         ``in_mask`` keeps exactly the bidirectional pairs.
         """
-        memory = graph.adjacency.T.copy()
-        np.copyto(memory, 0.0, where=~graph.in_mask)
-        self.memory = memory
+        if self.memory is None:
+            self.memory = np.empty_like(graph.adjacency)
+        np.copyto(self.memory, graph.adjacency.T)
+        np.copyto(self.memory, 0.0, where=~graph.in_mask)
 
 
 def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
@@ -124,45 +130,56 @@ def update_baseline(state: ClockState, graph: InterferenceGraph,
     return _apply_weights(state.times, graph.adjacency, eps)
 
 
-def proposed_weights(state: ClockState,
-                     graph: InterferenceGraph) -> np.ndarray:
+def proposed_weights(state: ClockState, graph: InterferenceGraph,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Average of current weights with remembered reciprocal weights.
 
     The memory term for pair (k, j) is the previous snapshot's a_jk,
     usable only where j was both an outgoing and incoming neighbor of k
     in that snapshot; elsewhere it contributes zero. No memory at all
-    degenerates to a half-step of the baseline rule.
+    degenerates to a half-step of the baseline rule. The weights go in
+    ``out``, a (K, K) float64 buffer, when it is given.
     """
     memory = 0.0 if state.memory is None else state.memory
-    weights = graph.adjacency + memory
+    weights = np.add(graph.adjacency, memory, out=out)
     weights *= 0.5
     return weights
 
 
 def update_proposed(state: ClockState, graph: InterferenceGraph,
-                    eps: float) -> np.ndarray:
-    """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k)."""
-    return _apply_weights(state.times, proposed_weights(state, graph), eps)
+                    eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k);
+    the weights are formed in ``out`` (see proposed_weights)."""
+    weights = proposed_weights(state, graph, out)
+    return _apply_weights(state.times, weights, eps)
 
 
 def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
-                 rng: np.random.Generator) -> SnapshotResult:
+                 rng: np.random.Generator,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> SnapshotResult:
     """One synchronization period: iterate until sd <= delta or budget ends.
 
     ``gain`` is the topology's path gain (``graph.path_gain``); each
     iteration redraws only the fading and applies ``update_proposed``.
+    ``buffers`` are two (K, K) float64 scratch arrays, for the fading and
+    the graph built over it and for the weights; None makes fresh ones.
 
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
     """
     if config.max_iters < 1:
         raise ConsensusError("no iteration budget")
+    if buffers is None:
+        buffers = np.empty_like(gain), np.empty_like(gain)
+    fading, weights = buffers
+    p_t, p0 = config.tx_power_w, config.power_threshold_w
     sds = []
     for _ in range(config.max_iters):
-        fading = channel.sample_interference_gains(config, rng)
-        graph = build_graph(config.tx_power_w, gain, fading,
-                            config.power_threshold_w)
-        state.times = update_proposed(state, graph, config.step_size)
+        channel.sample_interference_gains(config, rng, out=fading)
+        graph = build_graph(p_t, gain, fading, p0, out=fading)
+        state.times = update_proposed(state, graph, config.step_size,
+                                      out=weights)
         sd = timing_sd(state.times)
         sds.append(sd)
         diverged = not np.isfinite(sd) or sd > DIVERGENCE_SD_S
@@ -183,14 +200,16 @@ def run_sync(config: SimConfig, topology: Topology,
 
     The weight memory starts from a graph drawn before the first
     snapshot, standing in for an initially synchronized exchange. The
-    path gain is computed once here and shared by every iteration.
+    path gain and ``run_snapshot``'s buffers are made once, here.
     """
     state = init_clocks(config, rng)
     gain = path_gain(topology, config.path_loss_exp)
-    fading = channel.sample_interference_gains(config, rng)
+    fading, weights = np.empty_like(gain), np.empty_like(gain)
+    channel.sample_interference_gains(config, rng, out=fading)
     state.remember(build_graph(config.tx_power_w, gain, fading,
-                               config.power_threshold_w))
+                               config.power_threshold_w, out=fading))
     trace = SyncTrace(iter_period=config.iter_period)
     for _ in range(config.max_snapshots):
-        trace.snapshots.append(run_snapshot(state, config, gain, rng))
+        trace.snapshots.append(run_snapshot(state, config, gain, rng,
+                                            (fading, weights)))
     return trace

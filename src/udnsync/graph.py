@@ -6,7 +6,8 @@ distributes weight over i's incoming neighbors proportionally to their
 received power, so rows with at least one incoming neighbor sum to 1.
 Isolated nodes keep an all-zero row and simply hold their clock. A graph
 keeps the neighbor mask and the weights, not the powers: each build
-thresholds and normalizes one K x K buffer of received powers in place.
+thresholds and normalizes one K x K buffer of received powers in place,
+a fresh one or the caller's.
 """
 
 from __future__ import annotations
@@ -53,11 +54,17 @@ def path_gain(topology: Topology, path_loss_exp: float) -> np.ndarray:
 
 
 def build_graph(p_t: float, path_gain: np.ndarray,
-                interference_gains: np.ndarray, p0: float) -> InterferenceGraph:
-    """Received powers p_t * |h|^2 * d^-alpha, neighbor sets and weights."""
+                interference_gains: np.ndarray, p0: float,
+                out: np.ndarray | None = None) -> InterferenceGraph:
+    """Received powers p_t * |h|^2 * d^-alpha, neighbor sets and weights.
+
+    The powers, then the weights, go in ``out`` when it is given: a (K, K)
+    float64 buffer, which may be ``interference_gains`` itself. A graph
+    built into a caller's buffer is valid until the buffer is next written.
+    """
     if interference_gains.shape != path_gain.shape:
         raise GraphError("gain matrix shape does not match topology")
-    power = p_t * interference_gains
+    power = np.multiply(p_t, interference_gains, out=out)
     power *= path_gain
     return _threshold(power, p0)
 

@@ -14,7 +14,8 @@ power, so each leg runs at half the effective bandwidth and the pair
 finishes when the slower leg does.
 
 The vectorized kernels over a (triplet, sub-band) table (``RoundLinks``,
-``noma_leg_times``, ``oma_leg_times``) are what the scheduler runs. The
+``noma_leg_times``, ``oma_leg_times``) are what the scheduler runs, the
+superposed one in a ``KernelWorkspace`` that a caller may hold. The
 scalar ``PairLink`` functions evaluate the same formulas one link at a
 time, with explicit errors for zero-rate legs; they are the reference
 the kernels are tested against.
@@ -58,6 +59,26 @@ class RoundLinks:
                           self.bandwidth_hz, self.payload_bits)
 
 
+class KernelWorkspace:
+    """Four float64 planes and a bool mask of ``size`` cells each for
+    ``noma_leg_times``, which works in their leading cells, so one
+    workspace serves every shape of at most ``size`` cells. The times a
+    call returns live in it until its next call."""
+
+    def __init__(self, size: int):
+        self.floats = tuple(np.empty(size) for _ in range(4))
+        self.mask = np.empty(size, dtype=bool)
+
+    def planes(self, shape: tuple[int, ...]):
+        """The four float planes and the mask as arrays of ``shape``."""
+        n = math.prod(shape)
+        if n > self.mask.size:
+            raise ValueError(f"workspace of {self.mask.size} cells cannot "
+                             f"hold shape {shape}")
+        return (*(plane[:n].reshape(shape) for plane in self.floats),
+                self.mask[:n].reshape(shape))
+
+
 def _shannon(snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
     """bandwidth_hz * log2(1 + snr), in the buffer of ``snr``."""
     snr += 1.0
@@ -66,7 +87,8 @@ def _shannon(snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
     return snr
 
 
-def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray):
+def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray,
+                   workspace: KernelWorkspace | None = None):
     """(t_strong, t_weak) for a common power split: a float gives (T, N)
     matrices, and an array of splits broadcasts against (T, N), e.g. an
     (A, 1, 1) grid gives (A, T, N) tensors.
@@ -74,23 +96,31 @@ def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray):
     The domain is finite, non-negative gains and noise_w > 0 (what
     ``build_links`` produces). No rate is then NaN, a zero rate gives
     ``l / 0 = inf``, and every time is positive or +inf. Each step runs
-    in place on the output buffers.
+    in place in ``workspace`` (None makes a fresh one), writing each plane
+    before reading it, and both legs are returned in it.
     """
     a_i, a_j = alpha_strong, 1.0 - alpha_strong
     p, s2, b, l = (links.tx_power_w, links.noise_w,
                    links.bandwidth_hz, links.payload_bits)
     gs, gw = links.gain_strong, links.gain_weak
-    signal = gs * a_i * p
+    shape = np.broadcast(gs, alpha_strong).shape
+    if workspace is None:
+        workspace = KernelWorkspace(math.prod(shape))
+    signal, r_strong, t_weak, direct, mask = workspace.planes(shape)
+    np.multiply(gs, a_i, out=signal)
+    signal *= p
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_strong = gs * a_j * p
+        np.multiply(gs, a_j, out=r_strong)
+        r_strong *= p
         r_strong += s2
         _shannon(np.divide(signal, r_strong, out=r_strong), b)
-        t_weak = gw * a_j * p
+        np.multiply(gw, a_j, out=t_weak)
+        t_weak *= p
         t_weak /= s2
         np.divide(l, _shannon(t_weak, b), out=t_weak)
         signal /= s2
         r_alone = _shannon(signal, b)
-        direct = l / r_strong
+        np.divide(l, r_strong, out=direct)
         # residual bits after the weak leg, drained at the alone rate; it
         # is NaN only where direct <= t_weak = inf, where it is not used
         t_strong = r_strong
@@ -98,14 +128,15 @@ def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray):
         np.subtract(l, t_strong, out=t_strong)
         t_strong /= r_alone
         t_strong += t_weak
-    np.copyto(t_strong, direct, where=direct <= t_weak)
+    np.copyto(t_strong, direct, where=np.less_equal(direct, t_weak, out=mask))
     return t_strong, t_weak
 
 
-def noma_times(links: RoundLinks,
-               alpha_strong: float | np.ndarray) -> np.ndarray:
-    """Pair times max(t_strong, t_weak); alpha_strong as in noma_leg_times."""
-    t_strong, t_weak = noma_leg_times(links, alpha_strong)
+def noma_times(links: RoundLinks, alpha_strong: float | np.ndarray,
+               workspace: KernelWorkspace | None = None) -> np.ndarray:
+    """Pair times max(t_strong, t_weak), in the workspace; the arguments
+    are as in noma_leg_times."""
+    t_strong, t_weak = noma_leg_times(links, alpha_strong, workspace)
     return np.maximum(t_strong, t_weak, out=t_strong)
 
 

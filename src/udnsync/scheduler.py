@@ -20,15 +20,15 @@ The power split shared by all triplets in a round is chosen by a grid
 search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
 fallback matching is also the round's OMA outcome. The rate kernel runs
-once per round over the whole grid, and the walk then takes two
-matching steps: the point with the lowest bottleneck lower bound on its
-delay alone, then, as one stack of tables, every other point whose
-bound is below that first delay. No point outside the two steps can
-win, so the walk returns what matching every point would. A round
-outcome keeps its links, from which ``ScheduleOutcome.to_csv`` derives
-the per-leg times it writes. When triplets outnumber sub-bands,
-unmatched triplets defer to later rounds and the total exchange delay
-sums the round maxima.
+once per round over the whole grid, in one workspace that a schedule
+holds for all its rounds, and the walk then takes two matching steps:
+the point with the lowest bottleneck lower bound on its delay alone,
+then, as one stack of tables, every other point whose bound is below
+that first delay. No point outside the two steps can win, so the walk
+returns what matching every point would. A round outcome keeps its
+links, from which ``ScheduleOutcome.to_csv`` derives the per-leg times
+it writes. When triplets outnumber sub-bands, unmatched triplets defer
+to later rounds and the total exchange delay sums the round maxima.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 
 from udnsync.channel import noise_power, sample_link_gains
 from udnsync.config import SimConfig
-from udnsync.noma import (RoundLinks, noma_leg_times, noma_times,
-                          oma_leg_times, oma_times)
+from udnsync.noma import (KernelWorkspace, RoundLinks, noma_leg_times,
+                          noma_times, oma_leg_times, oma_times)
 from udnsync.topology import Topology
 
 
@@ -381,16 +381,20 @@ def _min_over(tensor: np.ndarray, axis: int) -> np.ndarray:
 
 def alpha_grid(step: float) -> np.ndarray:
     """Inclusive power-split grid {0, step, ..., 1}."""
+    if not 0.0 < step <= 1.0:
+        raise SchedulerError("empty power grid: step must lie in (0, 1]")
     n = round(1.0 / step)
     return np.linspace(0.0, 1.0, n + 1)
 
 
 def grid_search_alpha(links: RoundLinks, config: SimConfig,
-                      triplet_ids: np.ndarray | None = None
+                      triplet_ids: np.ndarray | None = None,
+                      workspace: KernelWorkspace | None = None
                       ) -> tuple[RoundOutcome, RoundOutcome]:
     """Pick the common power split minimizing the round's max pair time.
 
-    The rate kernel runs once, over the whole grid. The lowest-delay
+    The rate kernel runs once, over the whole grid, in ``workspace``
+    (see ``noma_leg_times``). The lowest-delay
     point wins, ties resolved toward the lower split; each point's
     delay is its matching's maximum time at that split. When T <= N
     every triplet is matched, and when T >= N every sub-band is, so the
@@ -415,13 +419,10 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     Returns (superposed, orthogonal): the winning outcome and the
     fallback's own outcome, the same object when the fallback wins.
     """
-    step = config.power_grid_step
-    if not 0.0 < step <= 1.0:
-        raise SchedulerError("empty power grid: step must lie in (0, 1]")
-    grid = alpha_grid(step)
+    grid = alpha_grid(config.power_grid_step)
     if triplet_ids is None:
         triplet_ids = np.arange(links.num_triplets)
-    all_times = noma_times(links, grid[:, None, None])  # (A, T, N)
+    all_times = noma_times(links, grid[:, None, None], workspace)  # (A, T, N)
     num_t, num_s = links.num_triplets, links.num_subbands
     bound = np.maximum(  # -inf where that side may be left partly unmatched
         _min_over(all_times, 2).max(axis=1) if num_t <= num_s else -np.inf,
@@ -474,16 +475,22 @@ def schedule_exchange(topology: Topology, config: SimConfig,
     membership (decided on split-free orthogonal times), and the same
     matching machinery, so the comparison isolates the access scheme
     and the superposed total provably never exceeds the orthogonal one.
+    One rate-kernel workspace serves every round, as no round holds more
+    than min(T, N) triplets.
     """
     fading = sample_link_gains(config, len(topology.triplets), rng)
     links = build_links(topology, config, fading)
     rounds = _partition_rounds(oma_times(links))
+    workspace = KernelWorkspace(
+        len(alpha_grid(config.power_grid_step))
+        * min(links.num_triplets, links.num_subbands) * links.num_subbands)
 
     noma_outcome = ScheduleOutcome()
     oma_outcome = ScheduleOutcome()
     for ids in rounds:
         superposed, orthogonal = grid_search_alpha(links.subset(ids), config,
-                                                   triplet_ids=ids)
+                                                   triplet_ids=ids,
+                                                   workspace=workspace)
         noma_outcome.rounds.append(superposed)
         oma_outcome.rounds.append(orthogonal)
 

@@ -28,39 +28,55 @@ class Topology:
     triplets: tuple[tuple[int, int, int], ...]  # (tx, strong_rx, weak_rx)
 
 
-def _ring_point(rng: np.random.Generator, center: np.ndarray,
-                r_min: float, r_max: float) -> np.ndarray:
-    # open at r_min so the near/far tiers stay strictly separated
-    while True:
-        radius = rng.uniform(r_min, r_max)
-        if radius > r_min:
-            break
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return center + radius * np.array([np.cos(angle), np.sin(angle)])
+def _polar_draws(rng: np.random.Generator, low: np.ndarray,
+                 high: np.ndarray) -> np.ndarray:
+    """``rng.uniform(low, high)`` over alternating radii and angles, but
+    a radius on its lower end is drawn again, keeping the near and far
+    tiers strictly apart. A draw uses one word of the stream, and only a
+    word giving 0.0 hits the lower end. On a hit the stream is rewound,
+    the draws before it are replayed and its word is skipped: the values
+    and the stream's state are those of drawing point by point.
+    """
+    start = rng.bit_generator.state
+    draws = rng.uniform(low, high)
+    hits = np.flatnonzero(draws[::2] <= low[::2])
+    if not hits.size:
+        return draws
+    i = 2 * int(hits[0])
+    rng.bit_generator.state = start
+    head = rng.uniform(low[:i], high[:i])
+    rng.uniform(low[i], high[i])  # the word that gave the lower end
+    return np.concatenate([head, _polar_draws(rng, low[i:], high[i:])])
 
 
 def place_nodes(config: SimConfig, rng: np.random.Generator) -> Topology:
-    """Drop K nodes and form floor(K/3) disjoint (tx, strong, weak) triplets."""
+    """Drop K nodes and form floor(K/3) disjoint (tx, strong, weak) triplets.
+
+    Each node is a radius and an angle, drawn in node order (each
+    triplet's transmitter, strong and weak receiver, then the leftovers).
+    """
     k = config.num_nodes
     if k < 3:
         raise TopologyError("insufficient nodes: need K >= 3 to form a triplet")
     near, far = config.near_radius_m, config.far_radius_m
 
-    n_triplets = k // 3
-    positions = np.zeros((k, 2))
-    triplets = []
-    center = np.zeros(2)
-    for t in range(n_triplets):
-        tx, strong, weak = 3 * t, 3 * t + 1, 3 * t + 2
-        tx_pos = _ring_point(rng, center, 0.0, far)
-        positions[tx] = tx_pos
-        positions[strong] = _ring_point(rng, tx_pos, 0.0, near)
-        positions[weak] = _ring_point(rng, tx_pos, near, far)
-        triplets.append((tx, strong, weak))
-    for i in range(3 * n_triplets, k):
-        positions[i] = _ring_point(rng, center, 0.0, far)
+    end = 3 * (k // 3)
+    low = np.zeros((k, 2))
+    high = np.full((k, 2), 2.0 * np.pi)
+    high[:, 0] = far
+    high[1:end:3, 0] = near      # strong receivers: (0, near]
+    low[2:end:3, 0] = near       # weak receivers: (near, far]
+    radius, angle = _polar_draws(rng, low.ravel(), high.ravel()).reshape(k, 2).T
+    positions = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)],
+                                           axis=1)
+    # receivers sit around their transmitter, the rest around the origin
+    positions[1:end:3] += positions[0:end:3]
+    positions[2:end:3] += positions[0:end:3]
 
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    dx, dy = (np.subtract.outer(c, c) for c in positions.T)
+    dx *= dx
+    dx += dy * dy
+    dist = np.sqrt(dx, out=dx)
+    triplets = tuple((t, t + 1, t + 2) for t in range(0, end, 3))
     return Topology(positions=positions, distance_matrix=dist,
-                    triplets=tuple(triplets))
+                    triplets=triplets)

@@ -12,6 +12,9 @@ from udnsync.noma import (PairLink, rate, sinr_strong, sinr_strong_alone,
                           sinr_weak)
 from udnsync.topology import Topology
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), as numpy's PCG64 uses it
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def grid_topology(k: int, spacing: float = 14.0, jitter: float = 3.0,
                   rng: np.random.Generator | None = None,
@@ -27,6 +30,62 @@ def grid_topology(k: int, spacing: float = 14.0, jitter: float = 3.0,
     dist = np.sqrt((diff ** 2).sum(axis=2))
     return Topology(positions=positions, distance_matrix=dist,
                     triplets=tuple(triplets))
+
+
+def _ring_point(rng: np.random.Generator, center: np.ndarray,
+                r_min: float, r_max: float) -> np.ndarray:
+    # open at r_min so the near/far tiers stay strictly separated
+    while True:
+        radius = rng.uniform(r_min, r_max)
+        if radius > r_min:
+            break
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    return center + radius * np.array([np.cos(angle), np.sin(angle)])
+
+
+def place_nodes_per_point(config: SimConfig,
+                          rng: np.random.Generator) -> Topology:
+    """``place_nodes`` as first written: one node at a time, each radius
+    redrawn until it clears its lower end, distances from (K, K, 2)
+    coordinate differences."""
+    k = config.num_nodes
+    near, far = config.near_radius_m, config.far_radius_m
+    n_triplets = k // 3
+    positions = np.zeros((k, 2))
+    triplets = []
+    center = np.zeros(2)
+    for t in range(n_triplets):
+        tx, strong, weak = 3 * t, 3 * t + 1, 3 * t + 2
+        tx_pos = _ring_point(rng, center, 0.0, far)
+        positions[tx] = tx_pos
+        positions[strong] = _ring_point(rng, tx_pos, 0.0, near)
+        positions[weak] = _ring_point(rng, tx_pos, near, far)
+        triplets.append((tx, strong, weak))
+    for i in range(3 * n_triplets, k):
+        positions[i] = _ring_point(rng, center, 0.0, far)
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    return Topology(positions=positions, distance_matrix=dist,
+                    triplets=tuple(triplets))
+
+
+def rng_with_zero_word(seed: int, index: int) -> np.random.Generator:
+    """A PCG64 generator whose 64-bit output number ``index`` (from 0) is
+    zero, so that its draw number ``index`` is exactly the low end of a
+    uniform interval. PCG64 steps its 128-bit LCG state and then outputs
+    rotr(hi ^ lo, hi >> 58), which is zero when both halves are equal; the
+    state is set that many LCG steps before such a state."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    half = (seed * 0x9E3779B97F4A7C15 + 1) % (1 << 64)
+    value = (half << 64) | half
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(index + 1):
+        value = (value - inc) * inverse % (1 << 128)
+    state["state"]["state"] = value
+    rng.bit_generator.state = state
+    return rng
 
 
 def graph_from_powers(power, p0: float) -> InterferenceGraph:

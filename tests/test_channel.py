@@ -51,6 +51,22 @@ def test_sample_gain_bits_match_numpy_scaled_draws(kind, param):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind,param", [
+    ("rayleigh", 1.0), ("rayleigh", 2.0), ("nakagami", 0.5), ("nakagami", 3.0),
+])
+def test_interference_draw_into_a_buffer_equals_fresh_draw(kind, param):
+    cfg = SimConfig(num_nodes=20, fading_kind=kind, fading_param=param)
+    fresh_rng, buffer_rng = np.random.default_rng(8), np.random.default_rng(8)
+    out = np.full((20, 20), np.nan)
+    for _ in range(3):
+        fresh = sample_interference_gains(cfg, fresh_rng)
+        drawn = sample_interference_gains(cfg, buffer_rng, out=out)
+        assert drawn is out
+        assert np.array_equal(drawn.view(np.uint64), fresh.view(np.uint64))
+    assert (buffer_rng.bit_generator.state
+            == fresh_rng.bit_generator.state)
+
+
 def test_sample_gain_rejects_unknown_kind(rng):
     with pytest.raises(ConfigError, match="rician"):
         sample_gain(fading("rician", 1.0), rng, size=3)

@@ -186,20 +186,72 @@ def test_run_sync_deterministic_under_seed():
         assert np.array_equal(snap_a.sd_per_iteration, snap_b.sd_per_iteration)
 
 
-def test_one_iteration_snapshot_allocation_budget():
-    # the fading draw, the graph, the proposed weights and the refreshed
-    # memory, at most three alive at once, plus bool masks: 3.26 K^2
-    # floats measured; one more float array alive at the peak breaks it
-    k = 250
-    cfg = SimConfig(num_nodes=k, max_iters=1)
+def _snapshot_setup(k, iters):
+    cfg = SimConfig(num_nodes=k, max_iters=iters)
     rng = np.random.default_rng(k)
     gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
     state.remember(build_graph(cfg.tx_power_w, gain,
                                sample_interference_gains(cfg, rng),
                                cfg.power_threshold_w))
+    return cfg, rng, gain, state
+
+
+def test_one_iteration_snapshot_allocation_budget():
+    # without buffers a snapshot makes its two, the fading draw that
+    # becomes the graph and the proposed weights; the memory is refreshed
+    # in place. With the bool masks that measures 2.26 K^2 floats, and
+    # one more float array alive at the peak breaks it
+    k = 250
+    cfg, rng, gain, state = _snapshot_setup(k, 1)
     peak = peak_traced_bytes(lambda: run_snapshot(state, cfg, gain, rng))
-    assert peak < 3.8 * k * k * 8
+    assert peak < 2.8 * k * k * 8
+
+
+def test_snapshot_in_held_buffers_allocates_no_float_matrix():
+    # given its buffers, no iteration allocates a K x K float array: the
+    # bool masks measure 0.39 K^2 floats
+    k = 250
+    cfg, rng, gain, state = _snapshot_setup(k, 5)
+    buffers = np.empty_like(gain), np.empty_like(gain)
+    memory = state.memory
+    peak = peak_traced_bytes(
+        lambda: run_snapshot(state, cfg, gain, rng, buffers))
+    assert peak < k * k * 8
+    assert state.memory is memory
+
+
+def test_run_sync_reuses_one_graph_and_one_weight_buffer(monkeypatch):
+    # the arrays are kept, so no freed one can lend its address to another
+    seen = []
+
+    def recording(state, graph, eps, out=None):
+        seen.append((graph.adjacency, out, state.memory))
+        return update_proposed(state, graph, eps, out=out)
+
+    monkeypatch.setattr("udnsync.consensus.update_proposed", recording)
+    cfg = small_config(num_nodes=16, max_snapshots=4, max_iters=5)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+    trace = run_sync(cfg, topo, np.random.default_rng(3))
+    updates = sum(len(snap.sd_per_iteration) for snap in trace.snapshots)
+    assert len(seen) == updates > cfg.max_snapshots
+    adjacency, weights, memory = ({array.ctypes.data for array in column}
+                                  for column in zip(*seen))
+    assert len(adjacency) == len(weights) == len(memory) == 1
+    assert len(adjacency | weights | memory) == 3
+
+
+def test_buffered_update_equals_fresh_update(rng):
+    cfg = small_config(num_nodes=25)
+    topo = grid_topology(25, rng=rng)
+    state = ClockState(times=rng.uniform(0, 40e-6, 25),
+                       skews_ppm=np.zeros(25))
+    state.remember(make_graph(cfg, topo, rng))
+    graph = make_graph(cfg, topo, rng)
+    out = np.full((25, 25), np.nan)
+    fresh = update_proposed(state, graph, cfg.step_size)
+    buffered = update_proposed(state, graph, cfg.step_size, out=out)
+    assert np.array_equal(fresh.view(np.uint64), buffered.view(np.uint64))
 
 
 @pytest.mark.parametrize("snapshots,iters", [(1, 1), (3, 40)])

@@ -144,6 +144,24 @@ def test_build_graph_leaves_its_inputs_unchanged():
             assert np.array_equal(gains.view(np.uint64), gains_bits)
 
 
+def test_build_graph_into_a_buffer_equals_fresh_build():
+    # into a separate buffer, and over the fading draw itself as the
+    # consensus loop does; the graph's weights are the buffer
+    cfg = SimConfig(num_nodes=90)
+    rng = np.random.default_rng(6)
+    gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
+    gains = sample_interference_gains(cfg, rng)
+    for p0 in (0.0, cfg.power_threshold_w, np.inf):
+        fresh = build_graph(cfg.tx_power_w, gain, gains, p0)
+        out, own = np.full_like(gains, np.nan), gains.copy()
+        for buffer, fading in ((out, gains), (own, own)):
+            graph = build_graph(cfg.tx_power_w, gain, fading, p0, out=buffer)
+            assert graph.adjacency is buffer
+            assert np.array_equal(graph.adjacency.view(np.uint64),
+                                  fresh.adjacency.view(np.uint64))
+            assert np.array_equal(graph.in_mask, fresh.in_mask)
+
+
 def test_build_graph_allocates_one_float_buffer():
     # the powers become the weights in place: one K x K float array and
     # two bool masks measure 1.26 K^2 floats; a second float array adds 1

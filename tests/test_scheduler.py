@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_topology, has_blocking_pair, small_config
+from conftest import (grid_topology, has_blocking_pair, peak_traced_bytes,
+                      small_config)
 from udnsync import scheduler
 from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig
-from udnsync.noma import (PairLink, RoundLinks, noma_leg_times, noma_times,
-                          oma_leg_times, oma_times, pair_completion_noma,
+from udnsync.noma import (KernelWorkspace, PairLink, RoundLinks,
+                          noma_leg_times, noma_times, oma_leg_times,
+                          oma_times, pair_completion_noma,
                           pair_completion_oma)
 from udnsync.scheduler import (Assignment, SchedulerError, _match_round,
                                _match_stack, _unstack, alpha_grid,
@@ -673,7 +675,7 @@ def test_grid_search_equals_per_point_reference(step, monkeypatch):
 def _fake_kernel(monkeypatch, tensor, step):
     """Make the scheduler's kernel return ``tensor`` over the grid of
     ``step``; returns the same fake, which gives one point for a split."""
-    def times(links, alpha_strong):
+    def times(links, alpha_strong, workspace=None):
         if np.ndim(alpha_strong):
             return tensor
         return tensor[round(alpha_strong / step)]
@@ -737,7 +739,7 @@ def test_grid_search_ties_go_to_the_lowest_split(monkeypatch):
                        np.array([[1.0, 5.0, 5.0], [1.0, 5.0, 5.0]]),
                        np.full((2, 3), 9.0)])
     monkeypatch.setattr("udnsync.scheduler.noma_times",
-                        lambda links, alpha_strong: tensor)
+                        lambda links, alpha_strong, workspace=None: tensor)
     links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
     outcome, _ = grid_search_alpha(links, SimConfig(power_grid_step=0.5))
     assert outcome.alpha_strong == 0.0
@@ -753,6 +755,80 @@ def test_broadcast_kernel_is_bitwise_per_point(rng):
             assert tensor.shape == (len(grid), num_t, num_s)
             assert np.array_equal(tensor.view(np.uint64),
                                   per_point.view(np.uint64))
+
+
+def _soiled_workspace(rng, size):
+    """A workspace whose planes hold NaN, infinities and random bits and
+    whose mask holds random bools."""
+    workspace = KernelWorkspace(size)
+    for plane in workspace.floats:
+        plane.view(np.uint64)[:] = rng.integers(0, 2 ** 63, size,
+                                                dtype=np.uint64)
+        plane[::3] = np.nan
+        plane[1::7] = -np.inf
+    workspace.mask[:] = rng.random(size) < 0.5
+    return workspace
+
+
+def test_held_workspace_kernel_is_bitwise_fresh(rng):
+    # the shapes and steps of test_broadcast_kernel_is_bitwise_per_point,
+    # each on a soiled workspace sized for all triplets, also on a T < N
+    # slice of them and at a scalar split
+    for num_t, num_s in ((1, 1), (3, 5), (5, 5), (10, 10)):
+        links = random_links(rng, num_t, num_s)
+        for step in (0.0025, 0.05, 0.25):
+            grid = alpha_grid(step)
+            workspace = _soiled_workspace(rng, len(grid) * num_t * num_s)
+            for case in (links, links.subset(np.arange(num_t // 2 + 1))):
+                for alpha in (grid[:, None, None], 0.3):
+                    fresh = noma_leg_times(case, alpha)
+                    held = noma_leg_times(case, alpha, workspace)
+                    for got, want in zip(held, fresh):
+                        assert got.shape == want.shape
+                        assert np.array_equal(got.view(np.uint64),
+                                              want.view(np.uint64))
+                    pair = noma_times(case, alpha, workspace)
+                    assert np.array_equal(
+                        pair.view(np.uint64),
+                        noma_times(case, alpha).view(np.uint64))
+
+
+def test_held_workspace_kernel_allocates_no_plane():
+    # over the full grid at 10 x 10 the kernel allocates no (A, T, N)
+    # array; numpy's broadcast buffers measure 0.42 of one
+    links = random_links(np.random.default_rng(5), 10, 10)
+    grid = alpha_grid(0.0025)[:, None, None]
+    workspace = KernelWorkspace(grid.size * 100)
+    peak = peak_traced_bytes(lambda: noma_times(links, grid, workspace))
+    assert peak < grid.size * 100 * 8
+
+
+def test_workspace_rejects_a_larger_shape():
+    with pytest.raises(ValueError, match="cannot hold"):
+        KernelWorkspace(10).planes((3, 4))
+
+
+def test_schedule_rounds_share_one_workspace(monkeypatch):
+    # 10 triplets on 3 sub-bands: four rounds, the last of one triplet;
+    # the results are kept, so no freed one can lend its address
+    seen = []
+
+    def recording(links, alpha_strong, workspace=None):
+        times = noma_times(links, alpha_strong, workspace)
+        seen.append((workspace, times))
+        return times
+
+    monkeypatch.setattr("udnsync.scheduler.noma_times", recording)
+    cfg = SimConfig(num_nodes=30, num_subbands=3, power_grid_step=0.05,
+                    noise_density_dbm_hz=-114.0)
+    rng = np.random.default_rng(12)
+    noma, _ = schedule_exchange(place_nodes(cfg, rng), cfg, rng)
+    assert len(seen) == len(noma.rounds) == 4
+    workspaces, results = zip(*seen)
+    assert workspaces[0] is not None
+    assert all(w is workspaces[0] for w in workspaces)
+    assert len({times.ctypes.data for times in results}) == 1
+    assert [times.shape[1] for times in results] == [3, 3, 3, 1]
 
 
 def test_grid_search_orthogonal_outcome_is_the_fallback_matching(rng):

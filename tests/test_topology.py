@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import place_nodes_per_point, rng_with_zero_word
 from udnsync.config import SimConfig
 from udnsync.consensus import REFERENCE_TEMP_C, init_clocks
 from udnsync.topology import TopologyError, place_nodes
@@ -71,3 +72,42 @@ def test_placement_deterministic_under_seed():
     b = place_nodes(cfg, np.random.default_rng(7))
     assert np.array_equal(a.positions, b.positions)
     assert a.triplets == b.triplets
+
+
+def assert_same_placement(config, make_rng):
+    """place_nodes and the per-point loop give the same bits and leave
+    their generators in the same state."""
+    rng, reference_rng = make_rng(), make_rng()
+    got = place_nodes(config, rng)
+    want = place_nodes_per_point(config, reference_rng)
+    assert np.array_equal(got.positions.view(np.uint64),
+                          want.positions.view(np.uint64))
+    assert np.array_equal(got.distance_matrix.view(np.uint64),
+                          want.distance_matrix.view(np.uint64))
+    assert got.triplets == want.triplets
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 60, 61, 62, 90, 250])
+def test_place_nodes_equals_per_point_loop(k):
+    cfg = SimConfig(num_nodes=k)
+    for seed in range(40):
+        assert_same_placement(cfg, lambda: np.random.default_rng(seed))
+
+
+def test_place_nodes_redraws_a_radius_on_its_lower_end():
+    # K=7 draws 14 values: (r, theta) for tx, strong, weak, tx, strong,
+    # weak, leftover. A zero word at an even index puts that radius on its
+    # lower end (0 m, or near_radius_m for a weak receiver), which the loop
+    # draws again; at an odd index it gives a valid angle of 0
+    cfg = SimConfig(num_nodes=7)
+    for index in range(14):
+        assert rng_with_zero_word(index, index).random(index + 1)[-1] == 0.0
+        topo = assert_same_placement(
+            cfg, lambda: rng_with_zero_word(index, index))
+        d = topo.distance_matrix
+        for tx, strong, weak in topo.triplets:
+            assert 0.0 < d[tx, strong] <= cfg.near_radius_m
+            assert cfg.near_radius_m < d[tx, weak] <= cfg.far_radius_m
+        assert np.linalg.norm(topo.positions[6]) > 0.0
