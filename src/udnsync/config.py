@@ -78,6 +78,8 @@ class SimConfig:
             raise ConfigError("num_nodes must be >= 3")
         if self.num_subbands < 1:
             raise ConfigError("num_subbands must be >= 1")
+        if self.power_threshold_w == 0.0:  # edges need P0 > 0 W
+            raise ConfigError("power_threshold_dbm underflows to 0 W")
         if not 0.0 < self.step_size < 1.0:
             raise ConfigError("step_size must lie in (0, 1)")
         if self.sd_tolerance <= 0:

@@ -9,9 +9,9 @@ that memory is refreshed exactly once, at snapshot end. Temperature
 skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
 
-``run_sync`` holds two K x K buffers, for the fading and the graph built
-over it and for the weights; the memory is refreshed in place. So no
-iteration allocates a K x K float array.
+``run_sync`` holds two K x K buffers, for the fading and the graph (its
+weight array) built over it and for the proposed weights; the memory is
+refreshed in place. So no iteration allocates a K x K float array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 # so a rebinding of that attribute (a tracing hook) is seen on every call
 from udnsync import channel
 from udnsync.config import SimConfig
-from udnsync.graph import InterferenceGraph, build_graph, path_gain
+from udnsync.graph import build_graph, path_gain
 from udnsync.topology import Topology
 
 REFERENCE_TEMP_C = 25.0  # TCXO turnover temperature
@@ -48,17 +48,15 @@ class ClockState:
     skews_ppm: np.ndarray                # temperature-driven skews
     memory: np.ndarray | None = None     # reciprocal weights of last snapshot
 
-    def remember(self, graph: InterferenceGraph) -> None:
+    def remember(self, adjacency: np.ndarray) -> None:
         """Keep this snapshot's reciprocal weights (see proposed_weights),
-        in place once there is a memory.
-
-        The adjacency is zero off the mask, so zeroing its transpose off
-        ``in_mask`` keeps exactly the bidirectional pairs.
+        in place once there is a memory: the transpose of the weights,
+        zeroed where they are zero, holds exactly the bidirectional pairs.
         """
         if self.memory is None:
-            self.memory = np.empty_like(graph.adjacency)
-        np.copyto(self.memory, graph.adjacency.T)
-        np.copyto(self.memory, 0.0, where=~graph.in_mask)
+            self.memory = np.empty_like(adjacency)
+        np.copyto(self.memory, adjacency.T)
+        np.copyto(self.memory, 0.0, where=adjacency == 0.0)
 
 
 def init_clocks(config: SimConfig, rng: np.random.Generator) -> ClockState:
@@ -124,13 +122,13 @@ def _apply_weights(times: np.ndarray, weights: np.ndarray,
     return times + eps * (weights @ times - weights.sum(axis=1) * times)
 
 
-def update_baseline(state: ClockState, graph: InterferenceGraph,
+def update_baseline(state: ClockState, adjacency: np.ndarray,
                     eps: float) -> np.ndarray:
     """RSSI-only update: t_k += eps * sum_j a_kj (t_j - t_k)."""
-    return _apply_weights(state.times, graph.adjacency, eps)
+    return _apply_weights(state.times, adjacency, eps)
 
 
-def proposed_weights(state: ClockState, graph: InterferenceGraph,
+def proposed_weights(state: ClockState, adjacency: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Average of current weights with remembered reciprocal weights.
 
@@ -141,16 +139,16 @@ def proposed_weights(state: ClockState, graph: InterferenceGraph,
     ``out``, a (K, K) float64 buffer, when it is given.
     """
     memory = 0.0 if state.memory is None else state.memory
-    weights = np.add(graph.adjacency, memory, out=out)
+    weights = np.add(adjacency, memory, out=out)
     weights *= 0.5
     return weights
 
 
-def update_proposed(state: ClockState, graph: InterferenceGraph,
+def update_proposed(state: ClockState, adjacency: np.ndarray,
                     eps: float, out: np.ndarray | None = None) -> np.ndarray:
     """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k);
     the weights are formed in ``out`` (see proposed_weights)."""
-    weights = proposed_weights(state, graph, out)
+    weights = proposed_weights(state, adjacency, out)
     return _apply_weights(state.times, weights, eps)
 
 
@@ -177,8 +175,8 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
     sds = []
     for _ in range(config.max_iters):
         channel.sample_interference_gains(config, rng, out=fading)
-        graph = build_graph(p_t, gain, fading, p0, out=fading)
-        state.times = update_proposed(state, graph, config.step_size,
+        adjacency = build_graph(p_t, gain, fading, p0, out=fading)
+        state.times = update_proposed(state, adjacency, config.step_size,
                                       out=weights)
         sd = timing_sd(state.times)
         sds.append(sd)
@@ -187,7 +185,7 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
             break
     iterations = config.max_iters if diverged else len(sds)
     converged = sds[-1] <= config.sd_tolerance
-    state.remember(graph)
+    state.remember(adjacency)
     elapsed = iterations * config.iter_period
     state.times = state.times + state.skews_ppm * 1e-6 * elapsed
     return SnapshotResult(sd_per_iteration=np.array(sds),

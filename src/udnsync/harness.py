@@ -80,10 +80,10 @@ def _replicate(config: SimConfig, rng: np.random.Generator) -> tuple:
     """One replication: (cf, n_avg, algorithmic_time, delay_noma, delay_oma)."""
     topology = place_nodes(config, rng)
     gains = sample_interference_gains(config, rng)
-    graph = build_graph(config.tx_power_w,
-                        path_gain(topology, config.path_loss_exp), gains,
-                        config.power_threshold_w)
-    cf = connectivity_factor(graph)
+    adjacency = build_graph(config.tx_power_w,
+                            path_gain(topology, config.path_loss_exp), gains,
+                            config.power_threshold_w)
+    cf = connectivity_factor(adjacency)
     trace = run_sync(config, topology, rng)
     noma, oma = schedule_exchange(topology, config, rng)
     return (cf, trace.mean_iterations, trace.algorithmic_time,

@@ -65,12 +65,12 @@ def build_links(topology: Topology, config: SimConfig,
     triplets = topology.triplets
     if not triplets:
         raise SchedulerError("topology has no TX-RX triplets")
-    dist = topology.distance_matrix
+    nodes = np.array(triplets)
+    dist = topology.distance_matrix[nodes[:, :1], nodes[:, 1:]]
     alpha = config.path_loss_exp
-    eff = np.empty_like(fading_gains)
-    for t, (tx, strong_rx, weak_rx) in enumerate(triplets):
-        eff[t, :, 0] = fading_gains[t, :, 0] * dist[tx, strong_rx] ** (-alpha)
-        eff[t, :, 1] = fading_gains[t, :, 1] * dist[tx, weak_rx] ** (-alpha)
+    # scalar powers (libm's pow): the array power may differ in the last bit
+    loss = np.reshape([d ** -alpha for d in dist.ravel()], (-1, 1, 2))
+    eff = fading_gains * loss
     if not np.isfinite(eff).all():
         raise SchedulerError("non-finite effective gain, e.g. a receiver "
                              "placed on its transmitter")

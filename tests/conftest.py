@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from udnsync.config import SimConfig
-from udnsync.graph import InterferenceGraph, build_graph
+from udnsync.graph import build_graph
 from udnsync.noma import (PairLink, rate, sinr_strong, sinr_strong_alone,
                           sinr_weak)
 from udnsync.topology import Topology
@@ -88,7 +88,7 @@ def rng_with_zero_word(seed: int, index: int) -> np.random.Generator:
     return rng
 
 
-def graph_from_powers(power, p0: float) -> InterferenceGraph:
+def graph_from_powers(power, p0: float) -> np.ndarray:
     """Threshold a received-power matrix and row-normalize the weights:
     ``build_graph`` at unit transmit power and unit fading gains, whose
     products leave every power unchanged."""

@@ -57,13 +57,14 @@ def test_criterion_01_consensus_converges_within_budget():
     # on a static graph the SD sequence must be non-increasing
     rng = np.random.default_rng(999)
     gains = sample_interference_gains(cfg, rng)
-    graph = build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
-                        gains, cfg.power_threshold_w)
+    adjacency = build_graph(cfg.tx_power_w,
+                            path_gain(topo, cfg.path_loss_exp), gains,
+                            cfg.power_threshold_w)
     state = init_clocks(cfg, rng)
-    state.remember(graph)
+    state.remember(adjacency)
     sds = []
     for _ in range(200):
-        state.times = update_proposed(state, graph, cfg.step_size)
+        state.times = update_proposed(state, adjacency, cfg.step_size)
         sds.append(timing_sd(state.times))
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
 

@@ -78,8 +78,8 @@ def assert_received_power(p_t, gain, dist, alpha, expected):
     topo = grid_topology(2, spacing=dist, jitter=0.0)
     link_gain, gains = path_gain(topo, alpha), np.full((2, 2), gain)
     for rel, edge in ((1 - 1e-6, True), (1 + 1e-6, False)):
-        graph = build_graph(p_t, link_gain, gains, expected * rel)
-        assert graph.in_mask[1, 0] == edge
+        adjacency = build_graph(p_t, link_gain, gains, expected * rel)
+        assert (adjacency[1, 0] > 0) == edge
 
 
 def test_received_power_frozen_value():

@@ -64,6 +64,17 @@ def test_validate_rejects_non_finite_numbers():
                 replace(base, **{name: value}).validate()
 
 
+def test_validate_rejects_a_threshold_that_underflows_to_zero_watts():
+    # below about -3,206 dBm, P0 rounds to 0 W, and a zero received power
+    # would meet it without being a positive weight
+    for dbm in (-3210.0, -1e6):
+        with pytest.raises(ConfigError, match="power_threshold_dbm"):
+            SimConfig(power_threshold_dbm=dbm).validate()
+    lowest = SimConfig(power_threshold_dbm=-3200.0)
+    lowest.validate()
+    assert lowest.power_threshold_w > 0.0
+
+
 def test_with_overrides_revalidates():
     cfg = SimConfig()
     assert cfg.with_overrides(num_nodes=30).num_nodes == 30

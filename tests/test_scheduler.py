@@ -67,6 +67,25 @@ def test_build_links_reorders_roles_when_fading_inverts(rng):
         assert np.all(links.gain_strong >= links.gain_weak)
 
 
+def test_build_links_bits_match_per_triplet_loop():
+    # the loop as first written, on NumPy scalars; an array power may
+    # differ from it in the last bit
+    cfg = SimConfig(num_nodes=90, num_subbands=5)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        topo = place_nodes(cfg, rng)
+        fading = rng.exponential(1.0, size=(len(topo.triplets), 5, 2))
+        dist, alpha = topo.distance_matrix, cfg.path_loss_exp
+        eff = np.empty_like(fading)
+        for t, (tx, strong, weak) in enumerate(topo.triplets):
+            eff[t, :, 0] = fading[t, :, 0] * dist[tx, strong] ** (-alpha)
+            eff[t, :, 1] = fading[t, :, 1] * dist[tx, weak] ** (-alpha)
+        links = build_links(topo, cfg, fading)
+        for got, want in ((links.gain_strong, eff.max(axis=2)),
+                          (links.gain_weak, eff.min(axis=2))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_build_links_requires_triplets(rng):
     cfg = small_config()
     topo = grid_topology(9, rng=rng, triplets=())
