@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from udnsync.config import ConfigError, SimConfig, dbm_to_watts
+from udnsync.config import SimConfig, dbm_to_watts
 
 
 def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
@@ -16,8 +16,8 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
     m = ``fading_param`` gives Gamma(m, 1/m) power with unit mean, so m
     only reshapes the distribution (m = 1 recovers Exponential(1)).
 
-    The parameter is not re-validated per draw: ``SimConfig.validate``
-    owns that. An unknown kind still raises ``ConfigError``.
+    The kind and parameter are not re-validated per draw: a
+    ``SimConfig`` checks them when it is made.
 
     Each unit-scale fill is scaled in place unless the scale is 1.0: the
     bits of ``rng.exponential(mean)`` and ``rng.gamma(m, 1/m)``, drawn
@@ -26,10 +26,8 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
     kind, param = config.fading_kind, config.fading_param
     if kind == "rayleigh":
         gain, scale = rng.standard_exponential(size, out=out), param
-    elif kind == "nakagami":
+    else:  # nakagami
         gain, scale = rng.standard_gamma(param, size, out=out), 1.0 / param
-    else:
-        raise ConfigError(f"unknown fading_kind {kind!r}")
     if scale != 1.0:
         gain *= scale
     return gain

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     config = load_config(args.scenario)
     if args.seed is not None:
-        config = config.with_overrides(rng_seed=args.seed)
+        config = replace(config, rng_seed=args.seed)
     if args.preset is not None:
         spec = preset(args.preset, config, full_scale=args.full_scale)
     else:
@@ -53,7 +53,6 @@ def _run(args) -> int:
                               (config.power_threshold_dbm,), 1, config)
     if args.replications is not None:
         spec = replace(spec, replications=args.replications)
-    spec.validate()  # before the output directory is created
 
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

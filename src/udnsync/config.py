@@ -4,12 +4,16 @@ A scenario file holds flat ``key = value`` lines, and its keys are
 exactly the fields of ``SimConfig``, so this module is the only one that
 knows the format. All radio quantities enter the simulator in dB units
 (dBm, dBm/Hz) and are converted to linear watts at this boundary.
+
+A ``SimConfig`` checks itself when it is made, by its constructor,
+``dataclasses.replace`` or the parser, so every instance in the program
+is valid and no later layer checks its fields again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -68,6 +72,9 @@ class SimConfig:
     def subband_bandwidth_hz(self) -> float:
         return self.system_bandwidth_hz / self.num_subbands
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         # NaN fails every comparison below, so reject non-finite numbers first
         for name, kind in FIELD_TYPES.items():
@@ -87,8 +94,8 @@ class SimConfig:
         for name in ("max_iters", "max_snapshots", "swap_max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.power_grid_step <= 0:
-            raise ConfigError("power_grid_step must be > 0")
+        if not 0 < self.power_grid_step <= 1:
+            raise ConfigError("power_grid_step must lie in (0, 1]")
         n = 1.0 / self.power_grid_step
         if abs(n - round(n)) > 1e-9 * n:
             raise ConfigError("power_grid_step must divide 1 evenly")
@@ -112,11 +119,6 @@ class SimConfig:
             raise ConfigError("rayleigh mean fading_param must be > 0")
         if self.fading_kind == "nakagami" and self.fading_param < 0.5:
             raise ConfigError("nakagami shape fading_param must be >= 0.5")
-
-    def with_overrides(self, **kwargs) -> "SimConfig":
-        cfg = replace(self, **kwargs)
-        cfg.validate()
-        return cfg
 
 
 # Each field's value type, read by the scenario parser and by sweeps.
@@ -153,9 +155,7 @@ def parse_config_text(text: str) -> SimConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} must be "
                               f"{kind.__name__}, got {val!r}") from None
-    cfg = SimConfig(**values)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg
+    return SimConfig(**values)  # type: ignore[arg-type]
 
 
 def load_config(path: str | Path) -> SimConfig:

@@ -166,8 +166,6 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
     """
-    if config.max_iters < 1:
-        raise ConsensusError("no iteration budget")
     if buffers is None:
         buffers = np.empty_like(gain), np.empty_like(gain)
     fading, weights = buffers

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,11 +31,16 @@ class HarnessError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One sweep; it checks itself when made, as its base config does."""
+
     scenario: str
     swept_parameter: str
     sweep_values: tuple
     replications: int
     base_config: SimConfig
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if FIELD_TYPES.get(self.swept_parameter) not in (int, float):
@@ -51,13 +56,11 @@ class ExperimentSpec:
                 f"{self.sweep_values}: not all integral")
         if self.replications < 1:
             raise HarnessError("replications must be >= 1")
-        self.base_config.validate()
 
     def config_at(self, value) -> SimConfig:
         """The base config with the swept field set to ``value``."""
         name = self.swept_parameter
-        return self.base_config.with_overrides(
-            **{name: FIELD_TYPES[name](value)})
+        return replace(self.base_config, **{name: FIELD_TYPES[name](value)})
 
 
 @dataclass
@@ -96,7 +99,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     A failing sweep point yields a NaN-filled row carrying the error
     message instead of aborting the remaining points.
     """
-    spec.validate()
     root = np.random.SeedSequence(spec.base_config.rng_seed)
     point_seeds = root.spawn(len(spec.sweep_values))
     rows = []
@@ -201,5 +203,4 @@ def preset(name: str, base: SimConfig, replications: int = 50,
     swept, values, own = _PRESETS[name]
     scale = _FULL_SCALE if full_scale else _DESK_SCALE
     return ExperimentSpec(name, swept, values, replications,
-                          base.with_overrides(
-                              **{**scale, **own, swept: values[0]}))
+                          replace(base, **{**scale, **own, swept: values[0]}))

@@ -17,10 +17,6 @@ import numpy as np
 from udnsync.config import SimConfig
 
 
-class TopologyError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Topology:
     positions: np.ndarray        # (K, 2) meters
@@ -28,36 +24,16 @@ class Topology:
     triplets: tuple[tuple[int, int, int], ...]  # (tx, strong_rx, weak_rx)
 
 
-def _polar_draws(rng: np.random.Generator, low: np.ndarray,
-                 high: np.ndarray) -> np.ndarray:
-    """``rng.uniform(low, high)`` over alternating radii and angles, but
-    a radius on its lower end is drawn again, keeping the near and far
-    tiers strictly apart. A draw uses one word of the stream, and only a
-    word giving 0.0 hits the lower end. On a hit the stream is rewound,
-    the draws before it are replayed and its word is skipped: the values
-    and the stream's state are those of drawing point by point.
-    """
-    start = rng.bit_generator.state
-    draws = rng.uniform(low, high)
-    hits = np.flatnonzero(draws[::2] <= low[::2])
-    if not hits.size:
-        return draws
-    i = 2 * int(hits[0])
-    rng.bit_generator.state = start
-    head = rng.uniform(low[:i], high[:i])
-    rng.uniform(low[i], high[i])  # the word that gave the lower end
-    return np.concatenate([head, _polar_draws(rng, low[i:], high[i:])])
-
-
 def place_nodes(config: SimConfig, rng: np.random.Generator) -> Topology:
     """Drop K nodes and form floor(K/3) disjoint (tx, strong, weak) triplets.
 
     Each node is a radius and an angle, drawn in node order (each
-    triplet's transmitter, strong and weak receiver, then the leftovers).
+    triplet's transmitter, strong and weak receiver, then the leftovers),
+    all in one draw. A radius on its lower end (only a draw of exactly 0
+    lands there) is drawn again from the next words, which keeps the near
+    and far tiers strictly apart.
     """
     k = config.num_nodes
-    if k < 3:
-        raise TopologyError("insufficient nodes: need K >= 3 to form a triplet")
     near, far = config.near_radius_m, config.far_radius_m
 
     end = 3 * (k // 3)
@@ -66,7 +42,9 @@ def place_nodes(config: SimConfig, rng: np.random.Generator) -> Topology:
     high[:, 0] = far
     high[1:end:3, 0] = near      # strong receivers: (0, near]
     low[2:end:3, 0] = near       # weak receivers: (near, far]
-    radius, angle = _polar_draws(rng, low.ravel(), high.ravel()).reshape(k, 2).T
+    radius, angle = rng.uniform(low, high).T
+    while (hits := np.flatnonzero(radius <= low[:, 0])).size:
+        radius[hits] = rng.uniform(low[hits, 0], high[hits, 0])
     positions = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)],
                                            axis=1)
     # receivers sit around their transmitter, the rest around the origin

@@ -113,9 +113,7 @@ def small_config(**overrides) -> SimConfig:
     base = dict(num_nodes=9, num_subbands=2, max_iters=200, max_snapshots=2,
                 noise_density_dbm_hz=-114.0)
     base.update(overrides)
-    cfg = SimConfig(**base)
-    cfg.validate()
-    return cfg
+    return SimConfig(**base)
 
 
 def has_blocking_pair(assignment, times: np.ndarray) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from conftest import grid_topology
 from udnsync.channel import (noise_power, sample_gain,
                              sample_interference_gains, sample_link_gains)
-from udnsync.config import ConfigError, SimConfig
+from udnsync.config import SimConfig
 from udnsync.graph import build_graph, path_gain
 
 
@@ -65,11 +65,6 @@ def test_interference_draw_into_a_buffer_equals_fresh_draw(kind, param):
         assert np.array_equal(drawn.view(np.uint64), fresh.view(np.uint64))
     assert (buffer_rng.bit_generator.state
             == fresh_rng.bit_generator.state)
-
-
-def test_sample_gain_rejects_unknown_kind(rng):
-    with pytest.raises(ConfigError, match="rician"):
-        sample_gain(fading("rician", 1.0), rng, size=3)
 
 
 def assert_received_power(p_t, gain, dist, alpha, expected):

@@ -34,7 +34,7 @@ def test_subband_bandwidth_splits_system_bandwidth():
     dict(step_size=0.0),
     dict(step_size=1.0),
     dict(sd_tolerance=0.0),
-    dict(max_iters=0),
+    dict(max_iters=0),               # run_snapshot needs a budget
     dict(power_grid_step=0.3),       # does not divide 1
     dict(power_grid_step=-0.1),
     dict(near_radius_m=50.0, far_radius_m=10.0),
@@ -43,13 +43,14 @@ def test_subband_bandwidth_splits_system_bandwidth():
     dict(iter_period=0.0),
     dict(rng_seed=-1),
     dict(num_nodes=2),               # placement needs K >= 3
-    dict(fading_kind="rician"),
+    dict(fading_kind="rician"),      # sample_gain draws no unknown kind
     dict(fading_kind="rayleigh", fading_param=0.0),
     dict(fading_kind="nakagami", fading_param=0.25),
+    dict(power_grid_step=1.0000000001),  # 1/step rounds to 1
 ])
 def test_validate_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
-        SimConfig(**kwargs).validate()
+        SimConfig(**kwargs)
 
 
 def test_validate_rejects_non_finite_numbers():
@@ -61,7 +62,7 @@ def test_validate_rejects_non_finite_numbers():
     for value in (math.nan, math.inf, -math.inf):
         for name in names:
             with pytest.raises(ConfigError, match=name):
-                replace(base, **{name: value}).validate()
+                replace(base, **{name: value})
 
 
 def test_validate_rejects_a_threshold_that_underflows_to_zero_watts():
@@ -69,17 +70,8 @@ def test_validate_rejects_a_threshold_that_underflows_to_zero_watts():
     # would meet it without being a positive weight
     for dbm in (-3210.0, -1e6):
         with pytest.raises(ConfigError, match="power_threshold_dbm"):
-            SimConfig(power_threshold_dbm=dbm).validate()
-    lowest = SimConfig(power_threshold_dbm=-3200.0)
-    lowest.validate()
-    assert lowest.power_threshold_w > 0.0
-
-
-def test_with_overrides_revalidates():
-    cfg = SimConfig()
-    assert cfg.with_overrides(num_nodes=30).num_nodes == 30
-    with pytest.raises(ConfigError):
-        cfg.with_overrides(num_nodes=1)
+            SimConfig(power_threshold_dbm=dbm)
+    assert SimConfig(power_threshold_dbm=-3200.0).power_threshold_w > 0.0
 
 
 def test_parse_config_text_round_trip():

