@@ -56,6 +56,8 @@ class ExperimentSpec:
                 f"{self.sweep_values}: not all integral")
         if self.replications < 1:
             raise HarnessError("replications must be >= 1")
+        for value in self.sweep_values:  # each point's config checks itself
+            self.config_at(value)
 
     def config_at(self, value) -> SimConfig:
         """The base config with the swept field set to ``value``."""

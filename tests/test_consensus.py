@@ -1,5 +1,7 @@
 """Weighted-averaging clock updates and the snapshot loop."""
 
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ from conftest import (graph_from_powers, grid_topology, peak_traced_bytes,
                       small_config)
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
-from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
-                               run_snapshot, run_sync, timing_sd,
+from udnsync.consensus import (ClockState, ConsensusError, FadingDraws,
+                               init_clocks, run_snapshot, run_sync, timing_sd,
                                update_baseline, update_proposed)
 from udnsync.graph import build_graph, path_gain
 from udnsync.harness import preset
@@ -101,7 +103,7 @@ def test_snapshot_converges_on_grid(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain, rng)
+    result = run_snapshot(state, cfg, gain, FadingDraws(cfg, rng))
     assert result.converged
     assert result.sd_per_iteration[-1] <= cfg.sd_tolerance
     assert result.iterations_used == len(result.sd_per_iteration)
@@ -111,7 +113,7 @@ def test_snapshot_respects_iteration_budget(rng):
     cfg = small_config(num_nodes=25, max_iters=3)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain, rng)
+    result = run_snapshot(state, cfg, gain, FadingDraws(cfg, rng))
     assert result.iterations_used == 3
     assert not result.converged
 
@@ -125,7 +127,7 @@ def test_skew_drift_applied_once_per_snapshot(rng):
         r = np.random.default_rng(seed)
         state = init_clocks(cfg, r)
         state.skews_ppm = np.full(cfg.num_nodes, skew)
-        res = run_snapshot(state, cfg, gain, r)
+        res = run_snapshot(state, cfg, gain, FadingDraws(cfg, r))
         runs.append((state.times.copy(), res.iterations_used))
     (t0, n0), (t1, n1) = runs
     assert n0 == n1  # identical in-snapshot trajectory
@@ -186,13 +188,15 @@ def _snapshot_setup(k, iters):
 
 
 def test_one_iteration_snapshot_allocation_budget():
-    # without buffers a snapshot makes its two, the fading draw that
-    # becomes the graph and the proposed weights; the memory is refreshed
-    # in place. With the threshold's bool mask that measures 2.13 K^2
-    # floats, and one more float array alive at the peak breaks it
+    # with fresh draws and no weight buffer a snapshot makes two arrays,
+    # the fading draw that becomes the graph and the proposed weights (a
+    # snapshot that draws nothing ahead makes no second fading buffer);
+    # the memory is refreshed in place. With the threshold's bool mask
+    # that measures 2.13 K^2 floats, and one more float array breaks it
     k = 250
     cfg, rng, gain, state = _snapshot_setup(k, 1)
-    peak = peak_traced_bytes(lambda: run_snapshot(state, cfg, gain, rng))
+    peak = peak_traced_bytes(
+        lambda: run_snapshot(state, cfg, gain, FadingDraws(cfg, rng)))
     assert peak < 2.8 * k * k * 8
 
 
@@ -202,16 +206,18 @@ def test_snapshot_in_held_buffers_allocates_no_float_matrix():
     # snapshot) measures 0.14 K^2 floats; a second live mask breaks it
     k = 250
     cfg, rng, gain, state = _snapshot_setup(k, 5)
-    buffers = np.empty_like(gain), np.empty_like(gain)
+    draws, weights = FadingDraws(cfg, rng), np.empty_like(gain)
     memory = state.memory
     peak = peak_traced_bytes(
-        lambda: run_snapshot(state, cfg, gain, rng, buffers))
+        lambda: run_snapshot(state, cfg, gain, draws, weights))
     assert peak < 0.25 * k * k * 8
     assert state.memory is memory
 
 
-def test_run_sync_reuses_one_graph_and_one_weight_buffer(monkeypatch):
-    # the arrays are kept, so no freed one can lend its address to another
+def test_run_sync_uses_two_graph_buffers_in_turn_and_one_weight_buffer(
+        monkeypatch):
+    # the arrays are kept, so no freed one can lend its address to another;
+    # the graph buffers alternate while the next fading is drawn ahead
     seen = []
 
     def recording(state, adjacency, eps, out=None):
@@ -226,8 +232,137 @@ def test_run_sync_reuses_one_graph_and_one_weight_buffer(monkeypatch):
     assert len(seen) == updates > cfg.max_snapshots
     adjacency, weights, memory = ({array.ctypes.data for array in column}
                                   for column in zip(*seen))
-    assert len(adjacency) == len(weights) == len(memory) == 1
-    assert len(adjacency | weights | memory) == 3
+    assert len(adjacency) == 2
+    assert len(weights) == len(memory) == 1
+    assert len(adjacency | weights | memory) == 4
+    # every draw up to the last snapshot's first was drawn ahead
+    ahead = updates - len(trace.snapshots[-1].sd_per_iteration) + 1
+    graphs = [graph.ctypes.data for graph, _, _ in seen[:ahead]]
+    assert all(a != b for a, b in zip(graphs, graphs[1:]))
+
+
+def _serial_draws(cfg, seed, draws):
+    """The generator after init_clocks and ``draws`` K x K draws in turn."""
+    rng = np.random.default_rng(seed)
+    init_clocks(cfg, rng)
+    for _ in range(draws):
+        sample_interference_gains(cfg, rng)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("fading", [("rayleigh", 1.0), ("nakagami", 2.5)])
+@pytest.mark.parametrize("snapshots,iters,tolerance,last_ends", [
+    (1, 1, 1e-6, "budget"), (3, 2000, 1e-6, "converged"),
+    (3, 4, 1e-15, "budget")])
+def test_run_sync_leaves_the_generator_where_serial_draws_do(
+        fading, snapshots, iters, tolerance, last_ends):
+    # one draw before the first snapshot and one per iteration run, in
+    # order; a draw made ahead past the last iteration would move the state
+    kind, param = fading
+    cfg = small_config(num_nodes=25, max_snapshots=snapshots, max_iters=iters,
+                       sd_tolerance=tolerance, fading_kind=kind,
+                       fading_param=param)
+    topo = grid_topology(25, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(7)
+    trace = run_sync(cfg, topo, rng)
+    last = trace.snapshots[-1]
+    assert last.converged == (last_ends == "converged")
+    if last_ends == "budget":
+        assert len(last.sd_per_iteration) == iters
+    run = sum(len(snap.sd_per_iteration) for snap in trace.snapshots)
+    assert rng.bit_generator.state == _serial_draws(cfg, 7, 1 + run)
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` on a thread joined with a timeout, so a deadlock fails
+    the test instead of hanging it; returns (value, exception)."""
+    out = [None, None]
+
+    def target():
+        try:
+            out[0] = fn()
+        except Exception as exc:
+            out[1] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "call did not return"
+    return out
+
+
+def test_run_sync_joins_its_worker():
+    before = threading.enumerate()
+    cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=5)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+
+    def call():
+        trace = run_sync(cfg, topo, np.random.default_rng(3))
+        return trace, threading.active_count()
+
+    (trace, on_return), error = _bounded(call)
+    assert error is None and len(trace.snapshots) == 3
+    assert on_return == len(before) + 1  # the calling thread alone
+    assert threading.enumerate() == before
+
+
+def test_worker_error_is_raised_by_run_sync(monkeypatch):
+    calls = []
+
+    def failing(config, rng, out=None):
+        calls.append(threading.current_thread())
+        if len(calls) == 3:
+            raise RuntimeError("third draw")
+        return sample_interference_gains(config, rng, out=out)
+
+    monkeypatch.setattr("udnsync.channel.sample_interference_gains", failing)
+    before = threading.active_count()
+    cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=5)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+    _, error = _bounded(lambda: run_sync(cfg, topo, np.random.default_rng(3)))
+    assert isinstance(error, RuntimeError) and str(error) == "third draw"
+    assert calls[2] is not calls[0]  # drawn ahead, on the worker
+    assert threading.active_count() == before
+
+
+def test_concurrent_run_syncs_equal_serial_runs():
+    # more callers than cores, switching threads often: each replication
+    # keeps its own stream, so its trace and generator are those of a
+    # run on its own
+    cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=40,
+                       fading_kind="nakagami", fading_param=2.5)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+
+    def replicate(seed):
+        rng = np.random.default_rng(seed)
+        trace = run_sync(cfg, topo, rng)
+        return ([snap.sd_per_iteration for snap in trace.snapshots],
+                rng.bit_generator.state)
+
+    seeds = range(6)
+    expected = [replicate(seed) for seed in seeds]
+    results = [None] * len(seeds)
+
+    def worker(i):
+        results[i] = replicate(seeds[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(len(seeds))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for (sds, state), (want_sds, want_state) in zip(results, expected,
+                                                    strict=True):
+        assert state == want_state
+        for got, want in zip(sds, want_sds, strict=True):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_buffered_update_equals_fresh_update(rng):

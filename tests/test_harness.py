@@ -39,11 +39,12 @@ def tiny_spec(**overrides):
     (lambda: replace(SimConfig(), num_nodes=1), ConfigError),
     (lambda: parse_config_text("num_nodes = 1"), ConfigError),
     (lambda: tiny_spec().config_at(-1e6), ConfigError),  # P0 is 0 W
+    (lambda: tiny_spec(sweep_values=(-110.0, -1e6)), ConfigError),
     (lambda: tiny_spec(replications=0), HarnessError),
     (lambda: replace(tiny_spec(), replications=0), HarnessError),
     (lambda: preset("fig5", SimConfig(), replications=0), HarnessError),
 ], ids=["SimConfig", "replace-config", "parse_config_text", "config_at",
-        "ExperimentSpec", "replace-spec", "preset"])
+        "sweep-value", "ExperimentSpec", "replace-spec", "preset"])
 def test_every_way_of_making_a_config_checks_it(make, error):
     with pytest.raises(error):
         make()
@@ -85,11 +86,17 @@ def test_cf_mean_non_increasing_in_threshold():
     assert cfs[0] > cfs[-1]
 
 
-def test_failing_sweep_point_yields_error_row():
-    rows = run_experiment(tiny_spec(swept_parameter="num_nodes",
-                                    sweep_values=(9, 2), replications=1))
+def test_failing_sweep_point_yields_error_row(monkeypatch):
+    def replicate(config, rng):  # a point that fails while it runs
+        if config.power_threshold_dbm == -80.0:
+            raise RuntimeError("replication failed")
+        return _replicate(config, rng)
+
+    monkeypatch.setattr("udnsync.harness._replicate", replicate)
+    rows = run_experiment(tiny_spec(sweep_values=(-110.0, -80.0),
+                                    replications=1))
     assert rows[0].error == ""
-    assert rows[1].error != ""
+    assert rows[1].error == "RuntimeError: replication failed"
     assert math.isnan(rows[1].t_sync_noma)
 
 
