@@ -85,8 +85,6 @@ class SimConfig:
             raise ConfigError("num_nodes must be >= 3")
         if self.num_subbands < 1:
             raise ConfigError("num_subbands must be >= 1")
-        if self.power_threshold_w == 0.0:  # edges need P0 > 0 W
-            raise ConfigError("power_threshold_dbm underflows to 0 W")
         if not 0.0 < self.step_size < 1.0:
             raise ConfigError("step_size must lie in (0, 1)")
         if self.sd_tolerance <= 0:
@@ -103,6 +101,17 @@ class SimConfig:
             raise ConfigError("need 0 < near_radius_m < far_radius_m")
         if self.system_bandwidth_hz <= 0:
             raise ConfigError("system_bandwidth_hz must be > 0")
+        # edges need P0 > 0 W, and rates a finite, positive power and noise
+        for name, hz in (("tx_power_dbm", 1.0), ("power_threshold_dbm", 1.0),
+                         ("noise_density_dbm_hz", self.subband_bandwidth_hz)):
+            dbm = getattr(self, name)
+            try:
+                watts = dbm_to_watts(dbm) * hz
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ConfigError(f"{name} = {dbm} gives {watts} W, "
+                                  "not a finite power > 0 W")
         if self.payload_bits <= 0:
             raise ConfigError("payload_bits must be > 0")
         if self.init_offset_max < 0:

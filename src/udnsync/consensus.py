@@ -9,28 +9,32 @@ that memory is refreshed exactly once, at snapshot end. Temperature
 skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
 
-``run_sync`` holds three K x K buffers: two for the fading and the graph
-(its weight array) built over it, used in turn, and one for the proposed
-weights; the memory is refreshed in place. So no iteration allocates a
-K x K float array. While the caller builds and updates over one draw, a
-worker thread draws the next into the other buffer, on the same
-generator and in the same order, but only where a next draw is certain
-to follow: before the first snapshot and in every snapshot but the last.
-So nothing is ever drawn past the end, and the stream, the traces and
-every seeded output are those of drawing one at a time. The worker is
-joined before ``run_sync`` returns or raises.
+``run_snapshot`` takes its fading from a zero-argument callable and
+knows nothing of where the draws come from. ``run_sync`` alone draws
+ahead: it holds two fading buffers, used in turn, and while the loop
+builds the graph over one draw in place and updates the clocks, a worker
+thread draws the next into the other, on the same generator and in the
+same order. It does so only where a next draw is certain to follow:
+before the first snapshot and in every snapshot but the last. So nothing
+is drawn past the end, and the stream and every seeded output are those
+of drawing one at a time. With one more buffer for the proposed weights
+and the memory refreshed in place, no iteration allocates a K x K float
+array. The worker is joined before ``run_sync`` returns or raises.
 """
 
 from __future__ import annotations
 
 import csv
+import queue
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-# FadingDraws calls channel.sample_interference_gains through the module,
-# so a rebinding of that attribute (a tracing hook) is seen on every call
+# every draw looks channel.sample_interference_gains up on the module, so
+# a rebinding of that attribute (a tracing hook) is seen on every call
 from udnsync import channel
 from udnsync.config import SimConfig
 from udnsync.graph import build_graph, path_gain
@@ -160,83 +164,68 @@ def update_proposed(state: ClockState, adjacency: np.ndarray,
     return _apply_weights(state.times, weights, eps)
 
 
-class FadingDraws:
+class _FadingDraws:
     """The (K, K) fading draws of one replication, in the generator's order.
 
     ``take`` returns the next draw, in a buffer that stays valid until
-    the next ``take``. With ``ahead`` it also starts the draw after it on
-    a worker thread, into a second buffer made on the first such call.
-    Nothing rewinds the generator, so ask for a draw ahead only when a
-    next ``take`` is certain to follow, and touch ``rng`` nowhere else
-    until that ``take``. An error in the worker is raised by the next
-    ``take``. ``close`` joins the worker; call it in a ``finally``.
+    the next ``take``. With ``ahead`` it also asks the worker for the
+    draw after it, into the other buffer; ask only when a next ``take``
+    is certain to follow, and touch ``rng`` nowhere else until then. The
+    worker gets the buffer to fill, or None to stop, and replies None or
+    the draw's exception, which the next ``take`` raises. ``close``
+    joins the worker; call it in a ``finally``.
     """
 
     def __init__(self, config: SimConfig, rng: np.random.Generator):
         self._config, self._rng = config, rng
         k = config.num_nodes
-        self._buffers = [np.empty((k, k))]  # [next handed out, drawn ahead]
-        self._worker: threading.Thread | None = None
+        self._buffers = [np.empty((k, k)), np.empty((k, k))]  # [taken, ahead]
         self._pending = False
-        self._error: BaseException | None = None
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
+        self._requests = queue.SimpleQueue()  # a buffer to fill, None to stop
+        self._replies = queue.SimpleQueue()  # None, or the draw's error
+        self._worker = threading.Thread(target=self._draw_ahead, daemon=True)
+        self._worker.start()
 
     def take(self, ahead: bool) -> np.ndarray:
         if self._pending:
-            self._done.acquire()
             self._pending = False
-            if self._error is not None:
-                raise self._error
+            error = self._replies.get()
+            if error is not None:
+                raise error
             self._buffers.reverse()
         else:
             channel.sample_interference_gains(self._config, self._rng,
                                               out=self._buffers[0])
         if ahead:
-            if self._worker is None:
-                self._buffers.append(np.empty_like(self._buffers[0]))
-                self._worker = threading.Thread(target=self._draw_ahead,
-                                                daemon=True)
-                self._worker.start()
+            self._requests.put(self._buffers[1])
             self._pending = True
-            self._go.release()
         return self._buffers[0]
 
     def _draw_ahead(self) -> None:
-        while True:
-            self._go.acquire()
-            if not self._pending:  # released by close
-                return
+        while (buffer := self._requests.get()) is not None:
             try:
                 channel.sample_interference_gains(self._config, self._rng,
-                                                  out=self._buffers[1])
-            except BaseException as exc:  # raised again by the next take
-                self._error = exc
-            self._done.release()
+                                                  out=buffer)
+            except BaseException as exc:  # raised by the next take
+                self._replies.put(exc)
+            else:
+                self._replies.put(None)
 
     def close(self) -> None:
-        if self._worker is None:
-            return
-        if self._pending:
-            self._done.acquire()
-            self._pending = False
-        self._go.release()
+        self._requests.put(None)  # after any draw in flight
         self._worker.join()
-        self._worker = None
 
 
 def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
-                 draws: FadingDraws, weights: np.ndarray | None = None,
-                 ahead: bool = False) -> SnapshotResult:
+                 next_fading: Callable[[], np.ndarray],
+                 weights: np.ndarray | None = None) -> SnapshotResult:
     """One synchronization period: iterate until sd <= delta or budget ends.
 
     ``gain`` is the topology's path gain (``graph.path_gain``); each
-    iteration takes the next fading from ``draws``, builds the graph over
-    it in place and applies ``update_proposed``, with the weights in
-    ``weights`` (a (K, K) float64 scratch array; None makes a fresh one).
-    ``ahead`` draws each next fading on the worker (see FadingDraws): a
-    caller sets it only when another snapshot follows.
+    iteration calls ``next_fading`` for a (K, K) fading draw, builds the
+    graph over it in place and applies ``update_proposed``, with the
+    weights in ``weights`` (a (K, K) float64 scratch array; None makes a
+    fresh one).
 
     On exit, the weight memory is refreshed from the final graph and the
     per-node skew drift for the snapshot's elapsed time is applied.
@@ -246,7 +235,7 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
     p_t, p0 = config.tx_power_w, config.power_threshold_w
     sds = []
     for _ in range(config.max_iters):
-        fading = draws.take(ahead)
+        fading = next_fading()
         adjacency = build_graph(p_t, gain, fading, p0, out=fading)
         state.times = update_proposed(state, adjacency, config.step_size,
                                       out=weights)
@@ -270,21 +259,22 @@ def run_sync(config: SimConfig, topology: Topology,
 
     The weight memory starts from a graph drawn before the first
     snapshot, standing in for an initially synchronized exchange. The
-    path gain and the buffers are made once, here. Every snapshot but the
-    last draws ahead, since a snapshot always follows it.
+    path gain and the buffers are made once, here. It draws ahead before
+    the first snapshot and in every snapshot but the last, where a next
+    draw is certain to follow.
     """
     state = init_clocks(config, rng)
     gain = path_gain(topology, config.path_loss_exp)
     weights = np.empty_like(gain)
     trace = SyncTrace(iter_period=config.iter_period)
-    draws = FadingDraws(config, rng)
+    draws = _FadingDraws(config, rng)
     try:
         fading = draws.take(ahead=True)
         state.remember(build_graph(config.tx_power_w, gain, fading,
                                    config.power_threshold_w, out=fading))
         for s in range(config.max_snapshots, 0, -1):
-            trace.snapshots.append(run_snapshot(state, config, gain, draws,
-                                                weights, ahead=s > 1))
+            trace.snapshots.append(run_snapshot(
+                state, config, gain, partial(draws.take, s > 1), weights))
     finally:
         draws.close()
     return trace

@@ -22,8 +22,8 @@ def _points(rows, field):
     pts = []
     for row in rows:
         x, y = row.sweep_value, getattr(row, field)
-        if math.isnan(x) or math.isnan(y):
-            warnings.warn(f"skipping NaN point in series {field} "
+        if not (math.isfinite(x) and math.isfinite(y)):
+            warnings.warn(f"skipping non-finite point in series {field} "
                           f"at sweep value {x!r}")
             continue
         pts.append((x, y))

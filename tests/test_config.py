@@ -47,6 +47,11 @@ def test_subband_bandwidth_splits_system_bandwidth():
     dict(fading_kind="rayleigh", fading_param=0.0),
     dict(fading_kind="nakagami", fading_param=0.25),
     dict(power_grid_step=1.0000000001),  # 1/step rounds to 1
+    dict(power_threshold_dbm=4000.0),    # watts overflow
+    dict(tx_power_dbm=4000.0),
+    dict(tx_power_dbm=-4000.0),          # 0 W
+    dict(noise_density_dbm_hz=4000.0),
+    dict(noise_density_dbm_hz=-4000.0),
 ])
 def test_validate_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

@@ -11,8 +11,8 @@ from conftest import (graph_from_powers, grid_topology, peak_traced_bytes,
                       small_config)
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
-from udnsync.consensus import (ClockState, ConsensusError, FadingDraws,
-                               init_clocks, run_snapshot, run_sync, timing_sd,
+from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
+                               run_snapshot, run_sync, timing_sd,
                                update_baseline, update_proposed)
 from udnsync.graph import build_graph, path_gain
 from udnsync.harness import preset
@@ -103,7 +103,8 @@ def test_snapshot_converges_on_grid(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain, FadingDraws(cfg, rng))
+    result = run_snapshot(state, cfg, gain,
+                          lambda: sample_interference_gains(cfg, rng))
     assert result.converged
     assert result.sd_per_iteration[-1] <= cfg.sd_tolerance
     assert result.iterations_used == len(result.sd_per_iteration)
@@ -113,7 +114,8 @@ def test_snapshot_respects_iteration_budget(rng):
     cfg = small_config(num_nodes=25, max_iters=3)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain, FadingDraws(cfg, rng))
+    result = run_snapshot(state, cfg, gain,
+                          lambda: sample_interference_gains(cfg, rng))
     assert result.iterations_used == 3
     assert not result.converged
 
@@ -127,7 +129,8 @@ def test_skew_drift_applied_once_per_snapshot(rng):
         r = np.random.default_rng(seed)
         state = init_clocks(cfg, r)
         state.skews_ppm = np.full(cfg.num_nodes, skew)
-        res = run_snapshot(state, cfg, gain, FadingDraws(cfg, r))
+        res = run_snapshot(state, cfg, gain,
+                           lambda: sample_interference_gains(cfg, r))
         runs.append((state.times.copy(), res.iterations_used))
     (t0, n0), (t1, n1) = runs
     assert n0 == n1  # identical in-snapshot trajectory
@@ -189,14 +192,13 @@ def _snapshot_setup(k, iters):
 
 def test_one_iteration_snapshot_allocation_budget():
     # with fresh draws and no weight buffer a snapshot makes two arrays,
-    # the fading draw that becomes the graph and the proposed weights (a
-    # snapshot that draws nothing ahead makes no second fading buffer);
+    # the fading draw that becomes the graph and the proposed weights;
     # the memory is refreshed in place. With the threshold's bool mask
     # that measures 2.13 K^2 floats, and one more float array breaks it
     k = 250
     cfg, rng, gain, state = _snapshot_setup(k, 1)
-    peak = peak_traced_bytes(
-        lambda: run_snapshot(state, cfg, gain, FadingDraws(cfg, rng)))
+    peak = peak_traced_bytes(lambda: run_snapshot(
+        state, cfg, gain, lambda: sample_interference_gains(cfg, rng)))
     assert peak < 2.8 * k * k * 8
 
 
@@ -206,10 +208,11 @@ def test_snapshot_in_held_buffers_allocates_no_float_matrix():
     # snapshot) measures 0.14 K^2 floats; a second live mask breaks it
     k = 250
     cfg, rng, gain, state = _snapshot_setup(k, 5)
-    draws, weights = FadingDraws(cfg, rng), np.empty_like(gain)
+    fading, weights = np.empty_like(gain), np.empty_like(gain)
     memory = state.memory
-    peak = peak_traced_bytes(
-        lambda: run_snapshot(state, cfg, gain, draws, weights))
+    peak = peak_traced_bytes(lambda: run_snapshot(
+        state, cfg, gain,
+        lambda: sample_interference_gains(cfg, rng, out=fading), weights))
     assert peak < 0.25 * k * k * 8
     assert state.memory is memory
 
@@ -323,6 +326,29 @@ def test_worker_error_is_raised_by_run_sync(monkeypatch):
     assert isinstance(error, RuntimeError) and str(error) == "third draw"
     assert calls[2] is not calls[0]  # drawn ahead, on the worker
     assert threading.active_count() == before
+
+
+def test_main_thread_error_while_a_draw_is_in_flight(monkeypatch):
+    # the third build (the first snapshot's second iteration) fails while
+    # the fourth draw is in flight: it completes and no draw follows it
+    builds = []
+
+    def failing(*args, **kwargs):
+        builds.append(None)
+        if len(builds) == 3:
+            raise RuntimeError("third build")
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr("udnsync.consensus.build_graph", failing)
+    before = threading.enumerate()
+    cfg = small_config(num_nodes=16, max_snapshots=2, max_iters=5,
+                       sd_tolerance=1e-15)
+    topo = grid_topology(16, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    _, error = _bounded(lambda: run_sync(cfg, topo, rng))
+    assert isinstance(error, RuntimeError) and str(error) == "third build"
+    assert threading.enumerate() == before
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, 4)
 
 
 def test_concurrent_run_syncs_equal_serial_runs():

@@ -202,13 +202,15 @@ def test_plot_rejects_single_row(tmp_path):
         emit_plot(make_rows(1), tmp_path / "p.svg")
 
 
-def test_plot_skips_nan_with_warning(tmp_path):
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_plot_skips_nan_with_warning(tmp_path, value):
     rows = make_rows(4)
-    rows[2].t_sync_noma = math.nan
-    with pytest.warns(UserWarning, match="NaN"):
+    rows[2].t_sync_noma = value
+    with pytest.warns(UserWarning, match="non-finite"):
         emit_plot(rows, tmp_path / "p.svg")
     svg = (tmp_path / "p.svg").read_text()
     assert svg.count("<circle") == 7  # 3 + 4 points survive
+    assert "nan" not in svg
 
 
 def test_plot_deterministic(tmp_path):
@@ -366,6 +368,13 @@ def test_cli_validate_rejects_nan(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+def test_cli_validate_rejects_a_power_that_overflows(tmp_path, capsys):
+    path = write_scenario(tmp_path, "power_threshold_dbm = 4000\n")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "power_threshold_dbm" in err
 
 
 def test_cli_validate_missing_file(tmp_path):
