@@ -1,10 +1,10 @@
-"""Fading samplers and noise power."""
+"""Fading samplers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from udnsync.config import SimConfig, dbm_to_watts
+from udnsync.config import SimConfig
 
 
 def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
@@ -31,11 +31,6 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
     if scale != 1.0:
         gain *= scale
     return gain
-
-
-def noise_power(config: SimConfig) -> float:
-    """Thermal noise power over one sub-band's bandwidth, in watts."""
-    return dbm_to_watts(config.noise_density_dbm_hz) * config.subband_bandwidth_hz
 
 
 def sample_interference_gains(config: SimConfig, rng: np.random.Generator,

@@ -3,7 +3,8 @@
 A scenario file holds flat ``key = value`` lines, and its keys are
 exactly the fields of ``SimConfig``, so this module is the only one that
 knows the format. All radio quantities enter the simulator in dB units
-(dBm, dBm/Hz) and are converted to linear watts at this boundary.
+(dBm, dBm/Hz), and the properties ``tx_power_w``, ``power_threshold_w``
+and ``noise_w`` are their only conversions to linear watts.
 
 A ``SimConfig`` checks itself when it is made, by its constructor,
 ``dataclasses.replace`` or the parser, so every instance in the program
@@ -72,6 +73,11 @@ class SimConfig:
     def subband_bandwidth_hz(self) -> float:
         return self.system_bandwidth_hz / self.num_subbands
 
+    @property
+    def noise_w(self) -> float:
+        """Thermal noise power over one sub-band's bandwidth."""
+        return dbm_to_watts(self.noise_density_dbm_hz) * self.subband_bandwidth_hz
+
     def __post_init__(self) -> None:
         self.validate()
 
@@ -102,16 +108,16 @@ class SimConfig:
         if self.system_bandwidth_hz <= 0:
             raise ConfigError("system_bandwidth_hz must be > 0")
         # edges need P0 > 0 W, and rates a finite, positive power and noise
-        for name, hz in (("tx_power_dbm", 1.0), ("power_threshold_dbm", 1.0),
-                         ("noise_density_dbm_hz", self.subband_bandwidth_hz)):
-            dbm = getattr(self, name)
+        for name, power in (("tx_power_dbm", "tx_power_w"),
+                            ("power_threshold_dbm", "power_threshold_w"),
+                            ("noise_density_dbm_hz", "noise_w")):
             try:
-                watts = dbm_to_watts(dbm) * hz
+                watts = getattr(self, power)
             except OverflowError:
                 watts = math.inf
             if not 0.0 < watts < math.inf:
-                raise ConfigError(f"{name} = {dbm} gives {watts} W, "
-                                  "not a finite power > 0 W")
+                raise ConfigError(f"{name} = {getattr(self, name)} gives "
+                                  f"{watts} W, not a finite power > 0 W")
         if self.payload_bits <= 0:
             raise ConfigError("payload_bits must be > 0")
         if self.init_offset_max < 0:
@@ -169,7 +175,7 @@ def parse_config_text(text: str) -> SimConfig:
 
 def load_config(path: str | Path) -> SimConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_config_text(text)

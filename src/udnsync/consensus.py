@@ -10,16 +10,17 @@ skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
 
 ``run_snapshot`` takes its fading from a zero-argument callable and
-knows nothing of where the draws come from. ``run_sync`` alone draws
-ahead: it holds two fading buffers, used in turn, and while the loop
-builds the graph over one draw in place and updates the clocks, a worker
-thread draws the next into the other, on the same generator and in the
-same order. It does so only where a next draw is certain to follow:
-before the first snapshot and in every snapshot but the last. So nothing
-is drawn past the end, and the stream and every seeded output are those
-of drawing one at a time. With one more buffer for the proposed weights
-and the memory refreshed in place, no iteration allocates a K x K float
-array. The worker is joined before ``run_sync`` returns or raises.
+knows nothing of where the draws come from. In ``run_sync`` one worker
+thread makes every fading draw, into two buffers used in turn, on the
+same generator and in the same order. Where a next draw is certain to
+follow (before the first snapshot and in every snapshot but the last),
+the worker draws it ahead while the loop builds the graph over the
+current draw in place and updates the clocks; elsewhere the loop waits
+for its draw. So nothing is drawn past the end, and the stream and every
+seeded output are those of drawing one at a time. With one more buffer
+for the proposed weights and the memory refreshed in place, no iteration
+allocates a K x K float array. The worker is joined before ``run_sync``
+returns or raises.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class SnapshotResult:
 
 @dataclass
 class SyncTrace:
+    iter_period: float
     snapshots: list[SnapshotResult] = field(default_factory=list)
-    iter_period: float = 1e-3
 
     @property
     def iterations_used(self) -> np.ndarray:
@@ -167,19 +168,20 @@ def update_proposed(state: ClockState, adjacency: np.ndarray,
 class _FadingDraws:
     """The (K, K) fading draws of one replication, in the generator's order.
 
-    ``take`` returns the next draw, in a buffer that stays valid until
-    the next ``take``. With ``ahead`` it also asks the worker for the
-    draw after it, into the other buffer; ask only when a next ``take``
-    is certain to follow, and touch ``rng`` nowhere else until then. The
-    worker gets the buffer to fill, or None to stop, and replies None or
-    the draw's exception, which the next ``take`` raises. ``close``
-    joins the worker; call it in a ``finally``.
+    The worker makes every draw, into two buffers used in turn. ``take``
+    returns the next draw, in a buffer that stays valid until the next
+    ``take``: the one drawn ahead, or else one it asks for and waits on.
+    With ``ahead`` it also asks for the draw after it; ask only when a
+    next ``take`` is certain to follow, and touch ``rng`` nowhere between
+    construction and ``close``. The worker gets the buffer to fill, or
+    None to stop, and replies None or the draw's exception, which
+    ``take`` raises. ``close`` joins the worker; call it in a ``finally``.
     """
 
     def __init__(self, config: SimConfig, rng: np.random.Generator):
         self._config, self._rng = config, rng
         k = config.num_nodes
-        self._buffers = [np.empty((k, k)), np.empty((k, k))]  # [taken, ahead]
+        self._buffers = [np.empty((k, k)), np.empty((k, k))]  # [taken, next]
         self._pending = False
         self._requests = queue.SimpleQueue()  # a buffer to fill, None to stop
         self._replies = queue.SimpleQueue()  # None, or the draw's error
@@ -187,15 +189,13 @@ class _FadingDraws:
         self._worker.start()
 
     def take(self, ahead: bool) -> np.ndarray:
-        if self._pending:
-            self._pending = False
-            error = self._replies.get()
-            if error is not None:
-                raise error
-            self._buffers.reverse()
-        else:
-            channel.sample_interference_gains(self._config, self._rng,
-                                              out=self._buffers[0])
+        if not self._pending:  # nothing drawn ahead: ask for it now
+            self._requests.put(self._buffers[1])
+        self._pending = False
+        error = self._replies.get()
+        if error is not None:
+            raise error
+        self._buffers.reverse()
         if ahead:
             self._requests.put(self._buffers[1])
             self._pending = True

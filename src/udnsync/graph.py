@@ -48,7 +48,7 @@ def build_graph(p_t: float, path_gain: np.ndarray,
 
 
 def connectivity_factor(adjacency: np.ndarray) -> float:
-    """Directed-degree sum over 2*C(K,2).
+    """Directed edge count (positive weights) over C(K,2).
 
     Reported raw: a complete bidirectional digraph yields 2.0 because
     both edge directions are counted against the undirected pair count.

@@ -60,21 +60,21 @@ class RoundLinks:
 
 
 class KernelWorkspace:
-    """Four float64 planes and a bool mask of ``size`` cells each for
-    ``noma_leg_times``, which works in their leading cells, so one
-    workspace serves every shape of at most ``size`` cells. The times a
-    call returns live in it until its next call."""
+    """Four float64 planes and a bool mask for ``noma_leg_times``, which
+    works in their leading cells. They grow to the largest shape asked
+    for, so one workspace serves every shape and no caller sizes it. The
+    times a call returns live in it until its next call."""
 
-    def __init__(self, size: int):
-        self.floats = tuple(np.empty(size) for _ in range(4))
-        self.mask = np.empty(size, dtype=bool)
+    def __init__(self):
+        self.floats = tuple(np.empty(0) for _ in range(4))
+        self.mask = np.empty(0, dtype=bool)
 
     def planes(self, shape: tuple[int, ...]):
         """The four float planes and the mask as arrays of ``shape``."""
         n = math.prod(shape)
         if n > self.mask.size:
-            raise ValueError(f"workspace of {self.mask.size} cells cannot "
-                             f"hold shape {shape}")
+            self.floats = tuple(np.empty(n) for _ in range(4))
+            self.mask = np.empty(n, dtype=bool)
         return (*(plane[:n].reshape(shape) for plane in self.floats),
                 self.mask[:n].reshape(shape))
 
@@ -105,7 +105,7 @@ def noma_leg_times(links: RoundLinks, alpha_strong: float | np.ndarray,
     gs, gw = links.gain_strong, links.gain_weak
     shape = np.broadcast(gs, alpha_strong).shape
     if workspace is None:
-        workspace = KernelWorkspace(math.prod(shape))
+        workspace = KernelWorkspace()
     signal, r_strong, t_weak, direct, mask = workspace.planes(shape)
     np.multiply(gs, a_i, out=signal)
     signal *= p

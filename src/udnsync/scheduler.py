@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from udnsync.channel import noise_power, sample_link_gains
+from udnsync.channel import sample_link_gains
 from udnsync.config import SimConfig
 from udnsync.noma import (KernelWorkspace, RoundLinks, noma_leg_times,
                           noma_times, oma_leg_times, oma_times)
@@ -78,7 +78,7 @@ def build_links(topology: Topology, config: SimConfig,
         gain_strong=np.maximum(eff[:, :, 0], eff[:, :, 1]),
         gain_weak=np.minimum(eff[:, :, 0], eff[:, :, 1]),
         tx_power_w=config.tx_power_w,
-        noise_w=noise_power(config),
+        noise_w=config.noise_w,
         bandwidth_hz=config.subband_bandwidth_hz,
         payload_bits=config.payload_bits,
     )
@@ -475,15 +475,12 @@ def schedule_exchange(topology: Topology, config: SimConfig,
     membership (decided on split-free orthogonal times), and the same
     matching machinery, so the comparison isolates the access scheme
     and the superposed total provably never exceeds the orthogonal one.
-    One rate-kernel workspace serves every round, as no round holds more
-    than min(T, N) triplets.
+    One rate-kernel workspace serves every round.
     """
     fading = sample_link_gains(config, len(topology.triplets), rng)
     links = build_links(topology, config, fading)
     rounds = _partition_rounds(oma_times(links))
-    workspace = KernelWorkspace(
-        len(alpha_grid(config.power_grid_step))
-        * min(links.num_triplets, links.num_subbands) * links.num_subbands)
+    workspace = KernelWorkspace()
 
     noma_outcome = ScheduleOutcome()
     oma_outcome = ScheduleOutcome()

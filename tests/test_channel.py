@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import grid_topology
-from udnsync.channel import (noise_power, sample_gain,
-                             sample_interference_gains, sample_link_gains)
+from udnsync.channel import (sample_gain, sample_interference_gains,
+                             sample_link_gains)
 from udnsync.config import SimConfig
 from udnsync.graph import build_graph, path_gain
 
@@ -94,12 +94,12 @@ def test_noise_power_frozen_value():
     # -174 dBm/Hz over 1 MHz (single sub-band)
     cfg = SimConfig(noise_density_dbm_hz=-174.0, system_bandwidth_hz=1e6,
                     num_subbands=1)
-    assert noise_power(cfg) == pytest.approx(3.9810717e-15, rel=1e-6)
+    assert cfg.noise_w == pytest.approx(3.9810717e-15, rel=1e-6)
 
 
 def test_noise_power_scales_with_subband_width():
-    one = noise_power(SimConfig(num_subbands=1))
-    five = noise_power(SimConfig(num_subbands=5))
+    one = SimConfig(num_subbands=1).noise_w
+    five = SimConfig(num_subbands=5).noise_w
     assert five == pytest.approx(one / 5)
 
 

@@ -258,9 +258,17 @@ def _serial_draws(cfg, seed, draws):
     (1, 1, 1e-6, "budget"), (3, 2000, 1e-6, "converged"),
     (3, 4, 1e-15, "budget")])
 def test_run_sync_leaves_the_generator_where_serial_draws_do(
-        fading, snapshots, iters, tolerance, last_ends):
+        monkeypatch, fading, snapshots, iters, tolerance, last_ends):
     # one draw before the first snapshot and one per iteration run, in
-    # order; a draw made ahead past the last iteration would move the state
+    # order; a draw made ahead past the last iteration would move the state.
+    # The worker makes every draw, the last snapshot's too
+    drawers = []
+
+    def recording(config, rng, out=None):
+        drawers.append(threading.current_thread())
+        return sample_interference_gains(config, rng, out=out)
+
+    monkeypatch.setattr("udnsync.channel.sample_interference_gains", recording)
     kind, param = fading
     cfg = small_config(num_nodes=25, max_snapshots=snapshots, max_iters=iters,
                        sd_tolerance=tolerance, fading_kind=kind,
@@ -274,6 +282,9 @@ def test_run_sync_leaves_the_generator_where_serial_draws_do(
         assert len(last.sd_per_iteration) == iters
     run = sum(len(snap.sd_per_iteration) for snap in trace.snapshots)
     assert rng.bit_generator.state == _serial_draws(cfg, 7, 1 + run)
+    assert len(drawers) == 1 + run
+    assert set(drawers) == {drawers[0]}
+    assert drawers[0] is not threading.current_thread()
 
 
 def _bounded(fn, timeout=60.0):
@@ -322,9 +333,16 @@ def test_worker_error_is_raised_by_run_sync(monkeypatch):
     before = threading.active_count()
     cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=5)
     topo = grid_topology(16, rng=np.random.default_rng(2))
-    _, error = _bounded(lambda: run_sync(cfg, topo, np.random.default_rng(3)))
+    callers = []
+
+    def call():
+        callers.append(threading.current_thread())
+        return run_sync(cfg, topo, np.random.default_rng(3))
+
+    _, error = _bounded(call)
     assert isinstance(error, RuntimeError) and str(error) == "third draw"
-    assert calls[2] is not calls[0]  # drawn ahead, on the worker
+    assert set(calls) == {calls[0]}  # every draw ran on the worker
+    assert calls[0] is not callers[0]
     assert threading.active_count() == before
 
 

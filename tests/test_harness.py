@@ -341,8 +341,11 @@ def write_scenario(tmp_path, text=SCENARIO):
 
 def test_cli_validate_ok(tmp_path, capsys):
     path = write_scenario(tmp_path)
-    assert main(["validate", str(path)]) == 0
-    assert "ok" in capsys.readouterr().out
+    bom = tmp_path / "bom.cfg"  # as some editors save UTF-8
+    bom.write_bytes(b"\xef\xbb\xbf" + SCENARIO.lstrip().encode())
+    for scenario in (path, bom):
+        assert main(["validate", str(scenario)]) == 0
+        assert "ok" in capsys.readouterr().out
 
 
 def test_cli_validate_rejects_bad_file(tmp_path, capsys):

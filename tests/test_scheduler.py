@@ -780,7 +780,8 @@ def test_broadcast_kernel_is_bitwise_per_point(rng):
 def _soiled_workspace(rng, size):
     """A workspace whose planes hold NaN, infinities and random bits and
     whose mask holds random bools."""
-    workspace = KernelWorkspace(size)
+    workspace = KernelWorkspace()
+    workspace.planes((size,))
     for plane in workspace.floats:
         plane.view(np.uint64)[:] = rng.integers(0, 2 ** 63, size,
                                                 dtype=np.uint64)
@@ -793,24 +794,27 @@ def _soiled_workspace(rng, size):
 def test_held_workspace_kernel_is_bitwise_fresh(rng):
     # the shapes and steps of test_broadcast_kernel_is_bitwise_per_point,
     # each on a soiled workspace sized for all triplets, also on a T < N
-    # slice of them and at a scalar split
+    # slice of them and at a scalar split; and all of them in turn on one
+    # workspace that starts empty and grows as the shapes do
+    grown = KernelWorkspace()
     for num_t, num_s in ((1, 1), (3, 5), (5, 5), (10, 10)):
         links = random_links(rng, num_t, num_s)
         for step in (0.0025, 0.05, 0.25):
             grid = alpha_grid(step)
-            workspace = _soiled_workspace(rng, len(grid) * num_t * num_s)
+            soiled = _soiled_workspace(rng, len(grid) * num_t * num_s)
             for case in (links, links.subset(np.arange(num_t // 2 + 1))):
                 for alpha in (grid[:, None, None], 0.3):
                     fresh = noma_leg_times(case, alpha)
-                    held = noma_leg_times(case, alpha, workspace)
-                    for got, want in zip(held, fresh):
-                        assert got.shape == want.shape
-                        assert np.array_equal(got.view(np.uint64),
-                                              want.view(np.uint64))
-                    pair = noma_times(case, alpha, workspace)
-                    assert np.array_equal(
-                        pair.view(np.uint64),
-                        noma_times(case, alpha).view(np.uint64))
+                    for workspace in (soiled, grown):
+                        held = noma_leg_times(case, alpha, workspace)
+                        for got, want in zip(held, fresh):
+                            assert got.shape == want.shape
+                            assert np.array_equal(got.view(np.uint64),
+                                                  want.view(np.uint64))
+                        pair = noma_times(case, alpha, workspace)
+                        assert np.array_equal(
+                            pair.view(np.uint64),
+                            noma_times(case, alpha).view(np.uint64))
 
 
 def test_held_workspace_kernel_allocates_no_plane():
@@ -818,14 +822,20 @@ def test_held_workspace_kernel_allocates_no_plane():
     # array; numpy's broadcast buffers measure 0.42 of one
     links = random_links(np.random.default_rng(5), 10, 10)
     grid = alpha_grid(0.0025)[:, None, None]
-    workspace = KernelWorkspace(grid.size * 100)
+    workspace = KernelWorkspace()
+    workspace.planes((grid.size, 10, 10))
     peak = peak_traced_bytes(lambda: noma_times(links, grid, workspace))
     assert peak < grid.size * 100 * 8
 
 
-def test_workspace_rejects_a_larger_shape():
-    with pytest.raises(ValueError, match="cannot hold"):
-        KernelWorkspace(10).planes((3, 4))
+def test_workspace_grows_to_a_larger_shape():
+    workspace = KernelWorkspace()
+    workspace.planes((2, 5))
+    *floats, mask = workspace.planes((3, 4))
+    assert [plane.shape for plane in (*floats, mask)] == [(3, 4)] * 5
+    for plane, small in zip(workspace.floats + (workspace.mask,),
+                            workspace.planes((2, 5))):
+        assert plane.size == 12 and np.shares_memory(small, plane)
 
 
 def test_schedule_rounds_share_one_workspace(monkeypatch):
