@@ -35,9 +35,15 @@ def sample_gain(config: SimConfig, rng: np.random.Generator, size=None,
 
 def sample_interference_gains(config: SimConfig, rng: np.random.Generator,
                               out: np.ndarray | None = None) -> np.ndarray:
-    """A (K, K) fading draw, into ``out`` when given (see sample_gain)."""
+    """A (K, K) fading draw, or a stack of them that fills ``out``, a
+    (..., K, K) float64 array, when it is given (see sample_gain).
+
+    A stack holds the bits of as many (K, K) draws made in turn, and
+    leaves ``rng`` where they do.
+    """
     k = config.num_nodes
-    return sample_gain(config, rng, size=(k, k), out=out)
+    return sample_gain(config, rng, size=(k, k) if out is None else out.shape,
+                       out=out)
 
 
 def sample_link_gains(config: SimConfig, num_triplets: int,

@@ -91,6 +91,8 @@ class SimConfig:
             raise ConfigError("num_nodes must be >= 3")
         if self.num_subbands < 1:
             raise ConfigError("num_subbands must be >= 1")
+        if self.path_loss_exp <= 0:  # path_gain's zero diagonal needs it
+            raise ConfigError("path_loss_exp must be > 0")
         if not 0.0 < self.step_size < 1.0:
             raise ConfigError("step_size must lie in (0, 1)")
         if self.sd_tolerance <= 0:

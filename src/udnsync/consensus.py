@@ -9,18 +9,16 @@ that memory is refreshed exactly once, at snapshot end. Temperature
 skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
 
-``run_snapshot`` takes its fading from a zero-argument callable and
-knows nothing of where the draws come from. In ``run_sync`` one worker
-thread makes every fading draw, into two buffers used in turn, on the
-same generator and in the same order. Where a next draw is certain to
-follow (before the first snapshot and in every snapshot but the last),
-the worker draws it ahead while the loop builds the graph over the
-current draw in place and updates the clocks; elsewhere the loop waits
-for its draw. So nothing is drawn past the end, and the stream and every
-seeded output are those of drawing one at a time. With one more buffer
-for the proposed weights and the memory refreshed in place, no iteration
-allocates a K x K float array. The worker is joined before ``run_sync``
-returns or raises.
+``run_snapshot`` takes its graphs from a zero-argument callable and
+knows nothing of where they come from. In ``run_sync`` one worker thread
+draws the fading in blocks of B = max(1, 2**16 // K**2) draws, one call
+per (B, K, K) block, while the loop builds the block before it into B
+graphs with one ``build_graph`` call and takes them in turn. The block
+drawn last is never used, and the one in use is seldom used up, so
+``run_sync`` puts the generator back at the state saved before the first
+draw not taken: the stream and every seeded output are those of drawing
+one at a time. No iteration allocates a K x K float array. The worker is
+joined before ``run_sync`` returns or raises.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import queue
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -165,65 +162,85 @@ def update_proposed(state: ClockState, adjacency: np.ndarray,
     return _apply_weights(state.times, weights, eps)
 
 
-class _FadingDraws:
-    """The (K, K) fading draws of one replication, in the generator's order.
+# Floats in one block of fading draws (0.5 MiB); a block holds at least
+# one (K, K) draw
+BLOCK_FLOATS = 1 << 16
 
-    The worker makes every draw, into two buffers used in turn. ``take``
-    returns the next draw, in a buffer that stays valid until the next
-    ``take``: the one drawn ahead, or else one it asks for and waits on.
-    With ``ahead`` it also asks for the draw after it; ask only when a
-    next ``take`` is certain to follow, and touch ``rng`` nowhere between
-    construction and ``close``. The worker gets the buffer to fill, or
-    None to stop, and replies None or the draw's exception, which
-    ``take`` raises. ``close`` joins the worker; call it in a ``finally``.
+
+class _GraphBlocks:
+    """The graphs of one replication, over its fading drawn in blocks.
+
+    ``next_graph`` returns the next graph, valid until the next call. On
+    coming to a block it asks the worker for the block after it, then
+    builds the block's graphs in place with one ``build_graph`` call. The
+    worker saves the generator's state, fills the block it is handed in
+    one call, and replies with the state and None or the draw's error,
+    which ``next_graph`` raises. Touch ``rng`` nowhere between
+    construction and ``close``; call it in a ``finally``.
     """
 
-    def __init__(self, config: SimConfig, rng: np.random.Generator):
-        self._config, self._rng = config, rng
+    def __init__(self, config: SimConfig, rng: np.random.Generator,
+                 gain: np.ndarray):
+        self._config, self._rng, self._gain = config, rng, gain
         k = config.num_nodes
-        self._buffers = [np.empty((k, k)), np.empty((k, k))]  # [taken, next]
-        self._pending = False
+        shape = (max(1, BLOCK_FLOATS // (k * k)), k, k)
+        self._blocks = [np.empty(shape), np.empty(shape)]  # [in use, next]
+        self._saved = None  # the generator's state before the block in use
+        self._used = shape[0]  # graphs taken from the block in use
         self._requests = queue.SimpleQueue()  # a buffer to fill, None to stop
-        self._replies = queue.SimpleQueue()  # None, or the draw's error
+        self._replies = queue.SimpleQueue()  # (saved state, None or error)
         self._worker = threading.Thread(target=self._draw_ahead, daemon=True)
         self._worker.start()
+        self._requests.put(self._blocks[1])
 
-    def take(self, ahead: bool) -> np.ndarray:
-        if not self._pending:  # nothing drawn ahead: ask for it now
-            self._requests.put(self._buffers[1])
-        self._pending = False
-        error = self._replies.get()
-        if error is not None:
-            raise error
-        self._buffers.reverse()
-        if ahead:
-            self._requests.put(self._buffers[1])
-            self._pending = True
-        return self._buffers[0]
+    def next_graph(self) -> np.ndarray:
+        block = self._blocks[0]
+        if self._used == len(block):
+            self._saved, error = self._replies.get()
+            self._used = 0
+            if error is not None:
+                raise error
+            self._blocks.reverse()
+            self._requests.put(block)
+            block = self._blocks[0]
+            build_graph(self._config.tx_power_w, self._gain, block,
+                        self._config.power_threshold_w, out=block)
+        self._used += 1
+        return block[self._used - 1]
 
     def _draw_ahead(self) -> None:
         while (buffer := self._requests.get()) is not None:
+            state = self._rng.bit_generator.state
             try:
                 channel.sample_interference_gains(self._config, self._rng,
                                                   out=buffer)
-            except BaseException as exc:  # raised by the next take
-                self._replies.put(exc)
+            except BaseException as exc:  # raised by the next next_graph
+                self._replies.put((state, exc))
             else:
-                self._replies.put(None)
+                self._replies.put((state, None))
 
     def close(self) -> None:
+        """Join the worker, then put the generator at the state saved
+        before the first draw not taken: the next block's when the block
+        in use is used up, else the block in use's followed by a redraw
+        of its used draws."""
         self._requests.put(None)  # after any draw in flight
         self._worker.join()
+        if self._used == len(self._blocks[0]):  # none of the next one taken
+            self._saved, self._used = self._replies.get()[0], 0
+        self._rng.bit_generator.state = self._saved
+        if self._used:
+            channel.sample_interference_gains(
+                self._config, self._rng, out=self._blocks[1][:self._used])
 
 
-def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
-                 next_fading: Callable[[], np.ndarray],
+def run_snapshot(state: ClockState, config: SimConfig,
+                 next_graph: Callable[[], np.ndarray],
                  weights: np.ndarray | None = None) -> SnapshotResult:
     """One synchronization period: iterate until sd <= delta or budget ends.
 
-    ``gain`` is the topology's path gain (``graph.path_gain``); each
-    iteration calls ``next_fading`` for a (K, K) fading draw, builds the
-    graph over it in place and applies ``update_proposed``, with the
+    Each iteration calls ``next_graph`` for a (K, K) graph (see
+    ``graph.build_graph``) and applies ``update_proposed``, with the
     weights in ``weights`` (a (K, K) float64 scratch array; None makes a
     fresh one).
 
@@ -231,12 +248,10 @@ def run_snapshot(state: ClockState, config: SimConfig, gain: np.ndarray,
     per-node skew drift for the snapshot's elapsed time is applied.
     """
     if weights is None:
-        weights = np.empty_like(gain)
-    p_t, p0 = config.tx_power_w, config.power_threshold_w
+        weights = np.empty((config.num_nodes, config.num_nodes))
     sds = []
     for _ in range(config.max_iters):
-        fading = next_fading()
-        adjacency = build_graph(p_t, gain, fading, p0, out=fading)
+        adjacency = next_graph()
         state.times = update_proposed(state, adjacency, config.step_size,
                                       out=weights)
         sd = timing_sd(state.times)
@@ -259,22 +274,18 @@ def run_sync(config: SimConfig, topology: Topology,
 
     The weight memory starts from a graph drawn before the first
     snapshot, standing in for an initially synchronized exchange. The
-    path gain and the buffers are made once, here. It draws ahead before
-    the first snapshot and in every snapshot but the last, where a next
-    draw is certain to follow.
+    path gain and the buffers are made once, here.
     """
     state = init_clocks(config, rng)
     gain = path_gain(topology, config.path_loss_exp)
     weights = np.empty_like(gain)
     trace = SyncTrace(iter_period=config.iter_period)
-    draws = _FadingDraws(config, rng)
+    graphs = _GraphBlocks(config, rng, gain)
     try:
-        fading = draws.take(ahead=True)
-        state.remember(build_graph(config.tx_power_w, gain, fading,
-                                   config.power_threshold_w, out=fading))
-        for s in range(config.max_snapshots, 0, -1):
+        state.remember(graphs.next_graph())
+        for _ in range(config.max_snapshots):
             trace.snapshots.append(run_snapshot(
-                state, config, gain, partial(draws.take, s > 1), weights))
+                state, config, graphs.next_graph, weights))
     finally:
-        draws.close()
+        graphs.close()
     return trace

@@ -67,6 +67,24 @@ def test_interference_draw_into_a_buffer_equals_fresh_draw(kind, param):
             == fresh_rng.bit_generator.state)
 
 
+@pytest.mark.parametrize("kind,param", [
+    ("rayleigh", 1.0), ("rayleigh", 0.5), ("nakagami", 1.0), ("nakagami", 2.5),
+])
+def test_stacked_interference_draw_equals_single_draws_in_turn(kind, param):
+    # one (B, K, K) call holds the bits of B (K, K) draws in turn and
+    # leaves the generator where they do
+    cfg = SimConfig(num_nodes=20, fading_kind=kind, fading_param=param)
+    single_rng, stack_rng = np.random.default_rng(5), np.random.default_rng(5)
+    singles = np.stack([sample_interference_gains(cfg, single_rng)
+                        for _ in range(7)])
+    out = np.full((7, 20, 20), np.nan)
+    stack = sample_interference_gains(cfg, stack_rng, out=out)
+    assert stack is out
+    assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))
+    assert (stack_rng.bit_generator.state
+            == single_rng.bit_generator.state)
+
+
 def assert_received_power(p_t, gain, dist, alpha, expected):
     """Node 1 of a two-node graph hears node 0 at a threshold 1e-6 below
     ``expected`` and not at one 1e-6 above it."""

@@ -31,6 +31,8 @@ def test_subband_bandwidth_splits_system_bandwidth():
 @pytest.mark.parametrize("kwargs", [
     dict(num_nodes=1),
     dict(num_subbands=0),
+    dict(path_loss_exp=0.0),         # a path gain of 1 at every distance
+    dict(path_loss_exp=-2.0),        # an infinite self-gain
     dict(step_size=0.0),
     dict(step_size=1.0),
     dict(sd_tolerance=0.0),

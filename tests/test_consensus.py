@@ -11,9 +11,9 @@ from conftest import (graph_from_powers, grid_topology, peak_traced_bytes,
                       small_config)
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
-from udnsync.consensus import (ClockState, ConsensusError, init_clocks,
-                               run_snapshot, run_sync, timing_sd,
-                               update_baseline, update_proposed)
+from udnsync.consensus import (BLOCK_FLOATS, ClockState, ConsensusError,
+                               init_clocks, run_snapshot, run_sync,
+                               timing_sd, update_baseline, update_proposed)
 from udnsync.graph import build_graph, path_gain
 from udnsync.harness import preset
 from udnsync.topology import place_nodes
@@ -23,6 +23,16 @@ def make_graph(cfg, topo, rng):
     return build_graph(cfg.tx_power_w, path_gain(topo, cfg.path_loss_exp),
                        sample_interference_gains(cfg, rng),
                        cfg.power_threshold_w)
+
+
+def fresh_graphs(cfg, gain, rng, fading=None):
+    """A ``run_snapshot`` graph source: a fresh fading draw, or one into
+    ``fading``, with the graph built over it in place."""
+    def next_graph():
+        drawn = sample_interference_gains(cfg, rng, out=fading)
+        return build_graph(cfg.tx_power_w, gain, drawn,
+                           cfg.power_threshold_w, out=drawn)
+    return next_graph
 
 
 def test_timing_sd_frozen_value():
@@ -103,8 +113,7 @@ def test_snapshot_converges_on_grid(rng):
     cfg = small_config(num_nodes=25, max_iters=2000)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain,
-                          lambda: sample_interference_gains(cfg, rng))
+    result = run_snapshot(state, cfg, fresh_graphs(cfg, gain, rng))
     assert result.converged
     assert result.sd_per_iteration[-1] <= cfg.sd_tolerance
     assert result.iterations_used == len(result.sd_per_iteration)
@@ -114,8 +123,7 @@ def test_snapshot_respects_iteration_budget(rng):
     cfg = small_config(num_nodes=25, max_iters=3)
     gain = path_gain(grid_topology(25, rng=rng), cfg.path_loss_exp)
     state = init_clocks(cfg, rng)
-    result = run_snapshot(state, cfg, gain,
-                          lambda: sample_interference_gains(cfg, rng))
+    result = run_snapshot(state, cfg, fresh_graphs(cfg, gain, rng))
     assert result.iterations_used == 3
     assert not result.converged
 
@@ -129,8 +137,7 @@ def test_skew_drift_applied_once_per_snapshot(rng):
         r = np.random.default_rng(seed)
         state = init_clocks(cfg, r)
         state.skews_ppm = np.full(cfg.num_nodes, skew)
-        res = run_snapshot(state, cfg, gain,
-                           lambda: sample_interference_gains(cfg, r))
+        res = run_snapshot(state, cfg, fresh_graphs(cfg, gain, r))
         runs.append((state.times.copy(), res.iterations_used))
     (t0, n0), (t1, n1) = runs
     assert n0 == n1  # identical in-snapshot trajectory
@@ -198,7 +205,7 @@ def test_one_iteration_snapshot_allocation_budget():
     k = 250
     cfg, rng, gain, state = _snapshot_setup(k, 1)
     peak = peak_traced_bytes(lambda: run_snapshot(
-        state, cfg, gain, lambda: sample_interference_gains(cfg, rng)))
+        state, cfg, fresh_graphs(cfg, gain, rng)))
     assert peak < 2.8 * k * k * 8
 
 
@@ -211,16 +218,16 @@ def test_snapshot_in_held_buffers_allocates_no_float_matrix():
     fading, weights = np.empty_like(gain), np.empty_like(gain)
     memory = state.memory
     peak = peak_traced_bytes(lambda: run_snapshot(
-        state, cfg, gain,
-        lambda: sample_interference_gains(cfg, rng, out=fading), weights))
+        state, cfg, fresh_graphs(cfg, gain, rng, fading), weights))
     assert peak < 0.25 * k * k * 8
     assert state.memory is memory
 
 
 def test_run_sync_uses_two_graph_buffers_in_turn_and_one_weight_buffer(
         monkeypatch):
-    # the arrays are kept, so no freed one can lend its address to another;
-    # the graph buffers alternate while the next fading is drawn ahead
+    # the arrays are kept, so no freed one can lend its address to another.
+    # Each graph is the next slice of a (B, K, K) block, and two block
+    # buffers alternate while the next block is drawn
     seen = []
 
     def recording(state, adjacency, eps, out=None):
@@ -228,20 +235,27 @@ def test_run_sync_uses_two_graph_buffers_in_turn_and_one_weight_buffer(
         return update_proposed(state, adjacency, eps, out=out)
 
     monkeypatch.setattr("udnsync.consensus.update_proposed", recording)
-    cfg = small_config(num_nodes=16, max_snapshots=4, max_iters=5)
-    topo = grid_topology(16, rng=np.random.default_rng(2))
-    trace = run_sync(cfg, topo, np.random.default_rng(3))
-    updates = sum(len(snap.sd_per_iteration) for snap in trace.snapshots)
-    assert len(seen) == updates > cfg.max_snapshots
-    adjacency, weights, memory = ({array.ctypes.data for array in column}
-                                  for column in zip(*seen))
-    assert len(adjacency) == 2
+    k = 90
+    b = BLOCK_FLOATS // k ** 2  # 8 graphs a block, the memory's first
+    cfg = small_config(num_nodes=k, max_snapshots=4, max_iters=5,
+                       sd_tolerance=1e-15)
+    topo = grid_topology(k, rng=np.random.default_rng(2))
+    run_sync(cfg, topo, np.random.default_rng(3))
+    assert len(seen) == 20  # three blocks: 1 + 20 graphs
+    blocks = [graph.base for graph, _, _ in seen]
+    assert len({id(block) for block in blocks}) == 2
+    for taken, (graph, _, _) in enumerate(seen, start=1):
+        block = blocks[taken - 1]
+        assert block.shape == (b, k, k)
+        assert graph.ctypes.data == (block.ctypes.data
+                                     + taken % b * graph.nbytes)
+        assert (block is blocks[0]) == (taken // b % 2 == 0)
+    _, weights, memory = ({array.ctypes.data for array in column}
+                          for column in zip(*seen))
     assert len(weights) == len(memory) == 1
-    assert len(adjacency | weights | memory) == 4
-    # every draw up to the last snapshot's first was drawn ahead
-    ahead = updates - len(trace.snapshots[-1].sd_per_iteration) + 1
-    graphs = [graph.ctypes.data for graph, _, _ in seen[:ahead]]
-    assert all(a != b for a, b in zip(graphs, graphs[1:]))
+    assert len(weights | memory) == 2
+    assert all(out.base is None and mem.base is None
+               for _, out, mem in seen)
 
 
 def _serial_draws(cfg, seed, draws):
@@ -260,8 +274,10 @@ def _serial_draws(cfg, seed, draws):
 def test_run_sync_leaves_the_generator_where_serial_draws_do(
         monkeypatch, fading, snapshots, iters, tolerance, last_ends):
     # one draw before the first snapshot and one per iteration run, in
-    # order; a draw made ahead past the last iteration would move the state.
-    # The worker makes every draw, the last snapshot's too
+    # order; the block drawn ahead past the last iteration, and the rest
+    # of the block in use, would move the state. The worker draws every
+    # block, the unused last one too, and the calling thread redraws the
+    # used part of a part-used block after the join
     drawers = []
 
     def recording(config, rng, out=None):
@@ -282,9 +298,30 @@ def test_run_sync_leaves_the_generator_where_serial_draws_do(
         assert len(last.sd_per_iteration) == iters
     run = sum(len(snap.sd_per_iteration) for snap in trace.snapshots)
     assert rng.bit_generator.state == _serial_draws(cfg, 7, 1 + run)
-    assert len(drawers) == 1 + run
-    assert set(drawers) == {drawers[0]}
-    assert drawers[0] is not threading.current_thread()
+    blocks, left = divmod(1 + run, BLOCK_FLOATS // 25 ** 2)
+    worker, caller = drawers[0], threading.current_thread()
+    assert worker is not caller
+    assert drawers == ([worker] * (blocks + bool(left) + 1)
+                       + [caller] * bool(left))
+
+
+@pytest.mark.parametrize("k", [60, 90])
+@pytest.mark.parametrize("snapshots", [2, 3, 4, 5])
+def test_run_sync_puts_the_generator_back_at_every_block_edge(k, snapshots):
+    # budget-bound snapshots take 1 + snapshots * iters graphs, which ends
+    # the last block in use at every slice, on a block edge (with the next
+    # block drawn and unused) and part-way into a third block
+    b = BLOCK_FLOATS // k ** 2  # 18 and 8
+    topo = grid_topology(k, rng=np.random.default_rng(2))
+    for iters in range(1, 2 * b + 2):
+        cfg = small_config(num_nodes=k, max_snapshots=snapshots,
+                           max_iters=iters, sd_tolerance=1e-15)
+        rng = np.random.default_rng(7)
+        trace = run_sync(cfg, topo, rng)
+        assert all(len(snap.sd_per_iteration) == iters
+                   for snap in trace.snapshots)
+        assert (rng.bit_generator.state
+                == _serial_draws(cfg, 7, 1 + snapshots * iters))
 
 
 def _bounded(fn, timeout=60.0):
@@ -320,7 +357,8 @@ def test_run_sync_joins_its_worker():
     assert threading.enumerate() == before
 
 
-def test_worker_error_is_raised_by_run_sync(monkeypatch):
+def _failing_third_draw(monkeypatch):
+    """Make the third fading draw raise; returns the threads of the draws."""
     calls = []
 
     def failing(config, rng, out=None):
@@ -330,26 +368,52 @@ def test_worker_error_is_raised_by_run_sync(monkeypatch):
         return sample_interference_gains(config, rng, out=out)
 
     monkeypatch.setattr("udnsync.channel.sample_interference_gains", failing)
+    return calls
+
+
+def test_worker_error_is_raised_by_run_sync(monkeypatch):
+    # the third block's draw fails, and is raised when the loop comes to
+    # it: 1 + 3 * 6 graphs of 8-graph blocks. The generator is put back
+    # before that draw
+    calls = _failing_third_draw(monkeypatch)
     before = threading.active_count()
-    cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=5)
-    topo = grid_topology(16, rng=np.random.default_rng(2))
+    cfg = small_config(num_nodes=90, max_snapshots=3, max_iters=6,
+                       sd_tolerance=1e-15)
+    topo = grid_topology(90, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(3)
     callers = []
 
     def call():
         callers.append(threading.current_thread())
-        return run_sync(cfg, topo, np.random.default_rng(3))
+        return run_sync(cfg, topo, rng)
 
     _, error = _bounded(call)
     assert isinstance(error, RuntimeError) and str(error) == "third draw"
-    assert set(calls) == {calls[0]}  # every draw ran on the worker
+    assert len(calls) == 3 and set(calls) == {calls[0]}  # on the worker
     assert calls[0] is not callers[0]
     assert threading.active_count() == before
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, 16)
+
+
+def test_a_failed_draw_that_is_never_taken_is_not_raised(monkeypatch):
+    # 1 + 3 * 5 graphs use up two blocks exactly, so the third block,
+    # drawn ahead, fails unused
+    _failing_third_draw(monkeypatch)
+    cfg = small_config(num_nodes=90, max_snapshots=3, max_iters=5,
+                       sd_tolerance=1e-15)
+    topo = grid_topology(90, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    trace, error = _bounded(lambda: run_sync(cfg, topo, rng))
+    assert error is None
+    assert trace.iterations_used.tolist() == [5, 5, 5]
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, 16)
 
 
 def test_main_thread_error_while_a_draw_is_in_flight(monkeypatch):
-    # the third build (the first snapshot's second iteration) fails while
-    # the fourth draw is in flight: it completes and no draw follows it
-    builds = []
+    # the third build (the third block's, for the 17th graph) fails while
+    # the fourth block's draw is in flight: it completes, no draw follows
+    # it, and the generator is put back before the third block
+    builds, draws = [], []
 
     def failing(*args, **kwargs):
         builds.append(None)
@@ -357,25 +421,33 @@ def test_main_thread_error_while_a_draw_is_in_flight(monkeypatch):
             raise RuntimeError("third build")
         return build_graph(*args, **kwargs)
 
+    def counting(config, rng, out=None):
+        draws.append(None)
+        return sample_interference_gains(config, rng, out=out)
+
     monkeypatch.setattr("udnsync.consensus.build_graph", failing)
+    monkeypatch.setattr("udnsync.channel.sample_interference_gains", counting)
     before = threading.enumerate()
-    cfg = small_config(num_nodes=16, max_snapshots=2, max_iters=5,
+    cfg = small_config(num_nodes=90, max_snapshots=2, max_iters=10,
                        sd_tolerance=1e-15)
-    topo = grid_topology(16, rng=np.random.default_rng(2))
+    topo = grid_topology(90, rng=np.random.default_rng(2))
     rng = np.random.default_rng(3)
     _, error = _bounded(lambda: run_sync(cfg, topo, rng))
     assert isinstance(error, RuntimeError) and str(error) == "third build"
     assert threading.enumerate() == before
-    assert rng.bit_generator.state == _serial_draws(cfg, 3, 4)
+    assert len(draws) == 4
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, 16)
 
 
 def test_concurrent_run_syncs_equal_serial_runs():
     # more callers than cores, switching threads often: each replication
     # keeps its own stream, so its trace and generator are those of a
-    # run on its own
-    cfg = small_config(num_nodes=16, max_snapshots=3, max_iters=40,
-                       fading_kind="nakagami", fading_param=2.5)
-    topo = grid_topology(16, rng=np.random.default_rng(2))
+    # run on its own. 1 + 3 * 7 graphs of 18-graph blocks put back a
+    # part-used second block
+    cfg = small_config(num_nodes=60, max_snapshots=3, max_iters=7,
+                       sd_tolerance=1e-15, fading_kind="nakagami",
+                       fading_param=2.5)
+    topo = grid_topology(60, rng=np.random.default_rng(2))
 
     def replicate(seed):
         rng = np.random.default_rng(seed)

@@ -161,6 +161,38 @@ def test_build_graph_into_a_buffer_equals_fresh_build():
                                   fresh.view(np.uint64))
 
 
+@pytest.mark.parametrize("k", [60, 90, 250])
+def test_stacked_build_equals_builds_slice_by_slice(k):
+    # the row sums run over the last axis of the stack, in place
+    cfg = SimConfig(num_nodes=k)
+    rng = np.random.default_rng(k)
+    gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
+    gains = np.stack([sample_interference_gains(cfg, rng) for _ in range(3)])
+    for p0 in (0.0, cfg.power_threshold_w):
+        singles = np.stack([build_graph(cfg.tx_power_w, gain, draw, p0)
+                            for draw in gains])
+        stack = gains.copy()
+        graphs = build_graph(cfg.tx_power_w, gain, stack, p0, out=stack)
+        assert graphs is stack
+        assert np.array_equal(graphs.view(np.uint64),
+                              singles.view(np.uint64))
+
+
+def test_no_node_hears_itself_without_a_diagonal_fill():
+    # path_gain is exactly 0 on the diagonal, so at a zero threshold every
+    # off-diagonal pair is an edge and no self-loop is
+    cfg = SimConfig(num_nodes=90)
+    rng = np.random.default_rng(3)
+    gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
+    assert np.all(np.diag(gain) == 0.0)
+    graphs = build_graph(cfg.tx_power_w, gain,
+                         np.stack([sample_interference_gains(cfg, rng)
+                                   for _ in range(2)]), 0.0)
+    for graph in graphs:
+        assert np.all(np.diag(graph) == 0.0)
+        assert connectivity_factor(graph) == pytest.approx(2.0)
+
+
 def test_build_graph_allocates_one_float_buffer():
     # the powers become the weights in place: one K x K float array and
     # the threshold's bool mask measure 1.14 K^2 floats; a second mask
