@@ -47,6 +47,9 @@ class ExperimentSpec:
             raise HarnessError(
                 f"cannot sweep {self.swept_parameter!r}: not an int or "
                 f"float field of SimConfig")
+        if self.swept_parameter == "rng_seed":
+            raise HarnessError("cannot sweep 'rng_seed': replications are "
+                               "seeded from the base config")
         if not self.sweep_values:
             raise HarnessError("sweep values must be nonempty")
         if FIELD_TYPES[self.swept_parameter] is int and not all(

@@ -21,14 +21,13 @@ search over the inclusive {0, step, ..., 1} grid, minimizing the
 round's maximum per-sub-band completion time; the grid's orthogonal
 fallback matching is also the round's OMA outcome. The rate kernel runs
 once per round over the whole grid, in one workspace that a schedule
-holds for all its rounds, and the walk then takes two matching steps:
-the point with the lowest bottleneck lower bound on its delay alone,
-then, as one stack of tables, every other point whose bound is below
-that first delay. No point outside the two steps can win, so the walk
-returns what matching every point would. A round outcome keeps its
-links, from which ``ScheduleOutcome.to_csv`` derives the per-leg times
-it writes. When triplets outnumber sub-bands, unmatched triplets defer
-to later rounds and the total exchange delay sums the round maxima.
+holds for all its rounds. The walk matches the point with the lowest
+bottleneck lower bound on its delay, then every point whose bound is
+below that first delay, one table by the scalar walk and more as one
+stack; no other point can win. A round outcome keeps its links, from
+which ``ScheduleOutcome.to_csv`` derives the per-leg times it writes.
+When triplets outnumber sub-bands, unmatched triplets defer to later
+rounds and the total exchange delay sums the round maxima.
 """
 
 from __future__ import annotations
@@ -312,16 +311,22 @@ def _match_stack(times: np.ndarray, max_iters: int):
     return owner, delay, iterations, accepted
 
 
-def _unstack(owner: np.ndarray, iterations, accepted
-             ) -> tuple[Assignment, SwapStats]:
-    """One table's ``swap_until_stable`` result from its row of
-    ``_match_stack``'s owner, iterations and accepted moves."""
+def _match_lowest(times: np.ndarray, points: list[int], max_iters: int):
+    """The lowest (delay, point) over the tables ``times[points]``, with
+    its Assignment and SwapStats. One table takes the scalar path, more
+    take one ``_match_stack`` call, whose fixed cost only many repay."""
+    if len(points) == 1:
+        table = times[points[0]]
+        assignment, stats = swap_until_stable(
+            stable_marriage(*build_preferences(table)), table, max_iters)
+        return assignment.max_time(table), points[0], assignment, stats
+    owner, delays, iters, accepted = _match_stack(times[points], max_iters)
+    delay, point, p = min(zip(delays.tolist(), points, range(len(points))))
     assignment = Assignment(sb_to_triplet={
-        s: t for s, t in enumerate(owner.tolist()) if t >= 0})
-    n, steps = len(assignment.sb_to_triplet), int(iterations)
-    return assignment, SwapStats(
-        iterations=steps, accepted_swaps=int(accepted),
-        candidate_swaps_per_iteration=[n * (n - 1) // 2] * steps)
+        s: t for s, t in enumerate(owner[p].tolist()) if t >= 0})
+    n, steps = len(assignment.sb_to_triplet), int(iters[p])
+    return delay, point, assignment, SwapStats(
+        steps, int(accepted[p]), [n * (n - 1) // 2] * steps)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +369,6 @@ class ScheduleOutcome:
                     ])
 
 
-def _match_round(times: np.ndarray, max_iters: int):
-    assignment = stable_marriage(*build_preferences(times))
-    return swap_until_stable(assignment, times, max_iters)
-
-
 def _min_over(tensor: np.ndarray, axis: int) -> np.ndarray:
     """``tensor.min(axis)`` for a short axis, folded one slice at a time
     with ``np.minimum``; the same bits, since min only selects."""
@@ -402,14 +402,14 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
     point's delay from below (Gross 1959), and a point whose (bound,
     index) is not below the best (delay, index) found cannot win.
 
-    The walk takes two matching steps. The scalar path matches the point
-    lowest in (bound, index); one ``_match_stack`` call then matches every
-    other point whose (bound, index) is below that point's (delay,
-    index). The points ascend in (bound, index), so each point left is
-    at or above that first (delay, index), which the best only lowers,
-    and none of them can win: the result is the argmin of (delay, index)
-    over the whole grid, with the assignment and swap stats that matching
-    that point alone gives.
+    The walk matches the point lowest in (bound, index), then every other
+    point whose (bound, index) is below that point's (delay, index). The
+    points ascend in (bound, index), so each point left is at or above
+    that first (delay, index), which the best only lowers, and none of
+    them can win: the result is the argmin of (delay, index) over the
+    whole grid, with the assignment and swap stats that matching that
+    point alone gives. ``_match_lowest`` makes every matching, the
+    orthogonal one too: one table by the scalar path, more as one stack.
 
     The orthogonal mode is evaluated as a fallback: on rounds whose
     pairs are too heterogeneous for any single split, the scheduler
@@ -429,21 +429,17 @@ def grid_search_alpha(links: RoundLinks, config: SimConfig,
         _min_over(all_times, 1).max(axis=1) if num_t >= num_s else -np.inf)
     bounds = bound.tolist()
     order = np.argsort(bound, kind="stable").tolist()
-    first = order[0]
-    assignment, stats = _match_round(all_times[first], config.swap_max_iters)
-    best = (assignment.max_time(all_times[first]), first, assignment, stats)
+    max_iters = config.swap_max_iters
+    best = _match_lowest(all_times, order[:1], max_iters)
     rivals = list(itertools.takewhile(lambda i: (bounds[i], i) < best[:2],
                                       order[1:]))
     if rivals:
-        owner, delays, iterations, accepted = _match_stack(
-            all_times[rivals], config.swap_max_iters)
-        delay, i, p = min(zip(delays.tolist(), rivals, range(len(rivals))))
-        if (delay, i) < best[:2]:
-            best = (delay, i, *_unstack(owner[p], iterations[p], accepted[p]))
+        best = min(best, _match_lowest(all_times, rivals, max_iters),
+                   key=lambda match: match[:2])
     oma = oma_times(links)
-    assignment, stats = _match_round(oma, config.swap_max_iters)
-    orthogonal = RoundOutcome(assignment, None, assignment.max_time(oma),
-                              stats, triplet_ids, links)
+    delay, _, assignment, stats = _match_lowest(oma[None], [0], max_iters)
+    orthogonal = RoundOutcome(assignment, None, delay, stats, triplet_ids,
+                              links)
     if orthogonal.round_max < best[0]:
         return orthogonal, orthogonal
     delay, i, assignment, stats = best

@@ -52,7 +52,8 @@ def test_every_way_of_making_a_config_checks_it(make, error):
 
 def test_spec_validation():
     tiny_spec().validate()
-    for name in ("carrier_freq", "fading_kind"):  # unknown; not a number
+    # unknown; not a number; a seed the replications would not use
+    for name in ("carrier_freq", "fading_kind", "rng_seed"):
         with pytest.raises(HarnessError):
             tiny_spec(swept_parameter=name)
     with pytest.raises(HarnessError):

@@ -17,8 +17,8 @@ from udnsync.noma import (KernelWorkspace, PairLink, RoundLinks,
                           noma_leg_times, noma_times, oma_leg_times,
                           oma_times, pair_completion_noma,
                           pair_completion_oma)
-from udnsync.scheduler import (Assignment, SchedulerError, _match_round,
-                               _match_stack, _unstack, alpha_grid,
+from udnsync.scheduler import (Assignment, SchedulerError, _match_lowest,
+                               _match_stack, alpha_grid,
                                build_links, build_preferences,
                                grid_search_alpha, schedule_exchange,
                                stable_marriage, swap_until_stable, SwapStats)
@@ -464,17 +464,28 @@ def test_match_stack_equals_scalar_path():
         cap = (1, 2, 3, 100)[stacks // 4 % 4]
         owner, delay, iterations, accepted = _match_stack(np.stack(bucket),
                                                           cap)
+        scalar = []
         for p, table in enumerate(bucket):
-            got = _unstack(owner[p], iterations[p], accepted[p])
-            expected = swap_until_stable(
+            assignment, stats = swap_until_stable(
                 stable_marriage(*build_preferences(table)), table, cap)
-            assert delay[p] == expected[0].max_time(table)
-            for assignment, _ in (got, expected):
-                triplets = list(assignment.sb_to_triplet.values())
-                assert len(set(triplets)) == len(triplets)
-            assert list(got[0].sb_to_triplet.items()) == list(
-                expected[0].sb_to_triplet.items())
-            assert got[1] == expected[1]
+            row = [-1] * table.shape[1]
+            for s, t in assignment.sb_to_triplet.items():
+                row[s] = t
+            triplets = [t for t in row if t >= 0]
+            assert len(set(triplets)) == len(triplets)
+            assert owner[p].tolist() == row
+            assert delay[p] == assignment.max_time(table)
+            assert iterations[p] == stats.iterations
+            assert accepted[p] == stats.accepted_swaps
+            scalar.append((assignment.max_time(table), p, assignment, stats))
+        # the chooser returns the lowest (delay, index) on either path,
+        # whatever order the indices come in
+        got = _match_lowest(np.stack(bucket), list(range(len(bucket)))[::-1],
+                            cap)
+        best = min(scalar, key=lambda match: match[:2])
+        assert got[:2] == best[:2] and got[3] == best[3]
+        assert list(got[2].sb_to_triplet.items()) == list(
+            best[2].sb_to_triplet.items())
         bucket.clear()
         stacks += 1
 
@@ -578,8 +589,9 @@ def test_matching_sees_only_the_order_and_ties_of_times():
             times[rng.random(times.shape) < 0.3] = np.inf
         inverse = np.unique(times, return_inverse=True)[1]
         ranks = inverse.reshape(times.shape) + 1.0
-        assignment, stats = _match_round(times, 100)
-        rank_assignment, rank_stats = _match_round(ranks, 100)
+        _, _, assignment, stats = _match_lowest(times[None], [0], 100)
+        _, _, rank_assignment, rank_stats = _match_lowest(ranks[None], [0],
+                                                          100)
         assert list(assignment.sb_to_triplet.items()) == list(
             rank_assignment.sb_to_triplet.items())
         assert stats == rank_stats
@@ -724,6 +736,27 @@ def test_grid_search_keys_matchings_by_ties_too(monkeypatch):
     reference = _grid_search_reference(links, cfg, reference_times)
     assert reference[0] == 0.5 and reference[2] == 2.5
     _assert_equals_reference(outcome, reference)
+
+
+def test_grid_search_matches_a_one_table_wave_on_the_scalar_path(
+        monkeypatch):
+    # the tied point is matched first and the untied one is its only
+    # rival: a wave of one table, matched like the first point and OMA
+    tensor = np.stack([TIED, UNTIED, np.full((2, 3), 20.0)])
+    _fake_kernel(monkeypatch, tensor, 0.5)
+    calls = []
+    for name in ("swap_until_stable", "_match_stack"):
+        original = getattr(scheduler, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(scheduler, name, counted)
+    links = make_links(np.zeros((2, 3)), np.zeros((2, 3)))  # OMA is inf
+    outcome, _ = grid_search_alpha(links, SimConfig(power_grid_step=0.5))
+    assert calls == ["swap_until_stable"] * 3
+    assert outcome.alpha_strong == 0.5 and outcome.round_max == 2.5
 
 
 def test_grid_search_matches_later_points_in_one_wave(monkeypatch):
@@ -881,11 +914,11 @@ def test_grid_search_orthogonal_outcome_is_the_fallback_matching(rng):
                 assert superposed is orthogonal
 
 
-def test_grid_search_rejects_empty_grid(rng):
-    cfg = SimConfig()
-    object.__setattr__(cfg, "power_grid_step", math.inf)
-    with pytest.raises(SchedulerError):
-        grid_search_alpha(random_links(rng, 1, 1), cfg)
+def test_grid_search_rejects_empty_grid():
+    # alpha_grid takes a bare step, which no SimConfig has checked
+    for step in (0.0, -0.25, 1.5, math.inf, math.nan):
+        with pytest.raises(SchedulerError):
+            alpha_grid(step)
 
 
 # ---------------------------------------------------------------------------
