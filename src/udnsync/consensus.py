@@ -10,15 +10,17 @@ skew perturbs the clocks between snapshots, which is what forces the
 network to re-synchronize repeatedly.
 
 ``run_snapshot`` takes its graphs from a zero-argument callable and
-knows nothing of where they come from. In ``run_sync`` one worker thread
-draws the fading in blocks of B = max(1, 2**16 // K**2) draws, one call
-per (B, K, K) block, while the loop builds the block before it into B
-graphs with one ``build_graph`` call and takes them in turn. The block
-drawn last is never used, and the one in use is seldom used up, so
-``run_sync`` puts the generator back at the state saved before the first
-draw not taken: the stream and every seeded output are those of drawing
-one at a time. No iteration allocates a K x K float array. The worker is
-joined before ``run_sync`` returns or raises.
+knows nothing of where they come from. In ``run_sync`` they come from
+one Python generator, ``_graphs``. Taking its first graph starts a
+worker thread that draws the fading in blocks of B = max(1, 2**16 // K**2)
+draws, one call per (B, K, K) block, while the generator builds the
+block before it into B graphs with one ``build_graph`` call and yields
+them in turn. The block drawn last is never used, and the one in use is
+seldom used up, so closing the generator joins the worker and puts the
+random generator back at the state saved before the first draw not
+taken: the stream and every seeded output are those of drawing one at a
+time. No iteration allocates a K x K float array. ``run_sync`` closes
+the generator before it returns or raises.
 """
 
 from __future__ import annotations
@@ -167,71 +169,60 @@ def update_proposed(state: ClockState, adjacency: np.ndarray,
 BLOCK_FLOATS = 1 << 16
 
 
-class _GraphBlocks:
+def _graphs(config: SimConfig, rng: np.random.Generator, gain: np.ndarray):
     """The graphs of one replication, over its fading drawn in blocks.
 
-    ``next_graph`` returns the next graph, valid until the next call. On
-    coming to a block it asks the worker for the block after it, then
-    builds the block's graphs in place with one ``build_graph`` call. The
-    worker saves the generator's state, fills the block it is handed in
+    Each graph is valid until the next is taken. Taking the first starts
+    the worker. It saves ``rng``'s state, fills the block it is handed in
     one call, and replies with the state and None or the draw's error,
-    which ``next_graph`` raises. Touch ``rng`` nowhere between
-    construction and ``close``; call it in a ``finally``.
+    which is raised when the loop comes to that block. Touch ``rng``
+    nowhere until the generator is closed. Closing joins the worker and
+    puts ``rng`` at the state saved before the first draw not taken: the
+    next block's when the block in use is used up, else the block in
+    use's followed by a redraw of its used draws.
     """
+    k = config.num_nodes
+    shape = (max(1, BLOCK_FLOATS // (k * k)), k, k)
+    block, ahead = np.empty(shape), np.empty(shape)  # in use, next
+    requests = queue.SimpleQueue()  # a buffer to fill, None to stop
+    replies = queue.SimpleQueue()  # (saved state, None or error)
 
-    def __init__(self, config: SimConfig, rng: np.random.Generator,
-                 gain: np.ndarray):
-        self._config, self._rng, self._gain = config, rng, gain
-        k = config.num_nodes
-        shape = (max(1, BLOCK_FLOATS // (k * k)), k, k)
-        self._blocks = [np.empty(shape), np.empty(shape)]  # [in use, next]
-        self._saved = None  # the generator's state before the block in use
-        self._used = shape[0]  # graphs taken from the block in use
-        self._requests = queue.SimpleQueue()  # a buffer to fill, None to stop
-        self._replies = queue.SimpleQueue()  # (saved state, None or error)
-        self._worker = threading.Thread(target=self._draw_ahead, daemon=True)
-        self._worker.start()
-        self._requests.put(self._blocks[1])
+    def draw_ahead() -> None:
+        while (buffer := requests.get()) is not None:
+            state = rng.bit_generator.state
+            try:
+                channel.sample_interference_gains(config, rng, out=buffer)
+            except BaseException as exc:  # raised in the loop
+                replies.put((state, exc))
+            else:
+                replies.put((state, None))
 
-    def next_graph(self) -> np.ndarray:
-        block = self._blocks[0]
-        if self._used == len(block):
-            self._saved, error = self._replies.get()
-            self._used = 0
+    # the state before the block in use, and the graphs taken from it
+    saved, used = rng.bit_generator.state, 0
+    worker = threading.Thread(target=draw_ahead, daemon=True)
+    worker.start()
+    requests.put(ahead)
+    try:
+        while True:
+            saved, error = replies.get()
+            used = 0
             if error is not None:
                 raise error
-            self._blocks.reverse()
-            self._requests.put(block)
-            block = self._blocks[0]
-            build_graph(self._config.tx_power_w, self._gain, block,
-                        self._config.power_threshold_w, out=block)
-        self._used += 1
-        return block[self._used - 1]
-
-    def _draw_ahead(self) -> None:
-        while (buffer := self._requests.get()) is not None:
-            state = self._rng.bit_generator.state
-            try:
-                channel.sample_interference_gains(self._config, self._rng,
-                                                  out=buffer)
-            except BaseException as exc:  # raised by the next next_graph
-                self._replies.put((state, exc))
-            else:
-                self._replies.put((state, None))
-
-    def close(self) -> None:
-        """Join the worker, then put the generator at the state saved
-        before the first draw not taken: the next block's when the block
-        in use is used up, else the block in use's followed by a redraw
-        of its used draws."""
-        self._requests.put(None)  # after any draw in flight
-        self._worker.join()
-        if self._used == len(self._blocks[0]):  # none of the next one taken
-            self._saved, self._used = self._replies.get()[0], 0
-        self._rng.bit_generator.state = self._saved
-        if self._used:
-            channel.sample_interference_gains(
-                self._config, self._rng, out=self._blocks[1][:self._used])
+            block, ahead = ahead, block
+            requests.put(ahead)
+            build_graph(config.tx_power_w, gain, block,
+                        config.power_threshold_w, out=block)
+            for used, graph in enumerate(block, start=1):
+                yield graph
+    finally:
+        requests.put(None)  # after any draw in flight
+        worker.join()
+        if used == len(block):  # none of the next block taken
+            saved, used = replies.get()[0], 0
+        rng.bit_generator.state = saved
+        if used:
+            channel.sample_interference_gains(config, rng,
+                                              out=ahead[:used])
 
 
 def run_snapshot(state: ClockState, config: SimConfig,
@@ -280,12 +271,12 @@ def run_sync(config: SimConfig, topology: Topology,
     gain = path_gain(topology, config.path_loss_exp)
     weights = np.empty_like(gain)
     trace = SyncTrace(iter_period=config.iter_period)
-    graphs = _GraphBlocks(config, rng, gain)
+    graphs = _graphs(config, rng, gain)
     try:
-        state.remember(graphs.next_graph())
+        state.remember(next(graphs))
         for _ in range(config.max_snapshots):
             trace.snapshots.append(run_snapshot(
-                state, config, graphs.next_graph, weights))
+                state, config, graphs.__next__, weights))
     finally:
         graphs.close()
     return trace

@@ -383,8 +383,10 @@ def alpha_grid(step: float) -> np.ndarray:
     """Inclusive power-split grid {0, step, ..., 1}."""
     if not 0.0 < step <= 1.0:
         raise SchedulerError("empty power grid: step must lie in (0, 1]")
-    n = round(1.0 / step)
-    return np.linspace(0.0, 1.0, n + 1)
+    n = 1.0 / step
+    if abs(n - round(n)) > 1e-9 * n:  # SimConfig.validate's tolerance
+        raise SchedulerError("power grid step must divide 1 evenly")
+    return np.linspace(0.0, 1.0, round(n) + 1)
 
 
 def grid_search_alpha(links: RoundLinks, config: SimConfig,

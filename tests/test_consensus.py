@@ -357,25 +357,29 @@ def test_run_sync_joins_its_worker():
     assert threading.enumerate() == before
 
 
-def _failing_third_draw(monkeypatch):
-    """Make the third fading draw raise; returns the threads of the draws."""
+def _failing_draw(monkeypatch, nth):
+    """Make the nth fading draw raise; returns the threads of the draws."""
     calls = []
 
     def failing(config, rng, out=None):
         calls.append(threading.current_thread())
-        if len(calls) == 3:
-            raise RuntimeError("third draw")
+        if len(calls) == nth:
+            raise RuntimeError(f"draw {nth}")
         return sample_interference_gains(config, rng, out=out)
 
     monkeypatch.setattr("udnsync.channel.sample_interference_gains", failing)
     return calls
 
 
-def test_worker_error_is_raised_by_run_sync(monkeypatch):
-    # the third block's draw fails, and is raised when the loop comes to
-    # it: 1 + 3 * 6 graphs of 8-graph blocks. The generator is put back
-    # before that draw
-    calls = _failing_third_draw(monkeypatch)
+@pytest.mark.parametrize("nth,drawn", [(1, 0), (3, 16)],
+                         ids=["first", "third"])
+def test_worker_error_is_raised_by_run_sync(monkeypatch, nth, drawn):
+    # the nth block's draw fails, and is raised when the loop comes to
+    # it: the first block's at the memory's graph, before any graph is
+    # taken, and the third at the 17th of 1 + 3 * 6 graphs of 8-graph
+    # blocks. The generator is put back before that draw: for the first,
+    # where init_clocks alone leaves it
+    calls = _failing_draw(monkeypatch, nth)
     before = threading.active_count()
     cfg = small_config(num_nodes=90, max_snapshots=3, max_iters=6,
                        sd_tolerance=1e-15)
@@ -388,17 +392,17 @@ def test_worker_error_is_raised_by_run_sync(monkeypatch):
         return run_sync(cfg, topo, rng)
 
     _, error = _bounded(call)
-    assert isinstance(error, RuntimeError) and str(error) == "third draw"
-    assert len(calls) == 3 and set(calls) == {calls[0]}  # on the worker
+    assert isinstance(error, RuntimeError) and str(error) == f"draw {nth}"
+    assert len(calls) == nth and set(calls) == {calls[0]}  # on the worker
     assert calls[0] is not callers[0]
     assert threading.active_count() == before
-    assert rng.bit_generator.state == _serial_draws(cfg, 3, 16)
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, drawn)
 
 
 def test_a_failed_draw_that_is_never_taken_is_not_raised(monkeypatch):
     # 1 + 3 * 5 graphs use up two blocks exactly, so the third block,
     # drawn ahead, fails unused
-    _failing_third_draw(monkeypatch)
+    _failing_draw(monkeypatch, 3)
     cfg = small_config(num_nodes=90, max_snapshots=3, max_iters=5,
                        sd_tolerance=1e-15)
     topo = grid_topology(90, rng=np.random.default_rng(2))

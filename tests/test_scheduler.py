@@ -915,8 +915,9 @@ def test_grid_search_orthogonal_outcome_is_the_fallback_matching(rng):
 
 
 def test_grid_search_rejects_empty_grid():
-    # alpha_grid takes a bare step, which no SimConfig has checked
-    for step in (0.0, -0.25, 1.5, math.inf, math.nan):
+    # alpha_grid takes a bare step, which no SimConfig has checked; a
+    # step that does not divide 1 would give another grid
+    for step in (0.0, -0.25, 1.5, math.inf, math.nan, 0.3, 0.4, 0.7):
         with pytest.raises(SchedulerError):
             alpha_grid(step)
 
