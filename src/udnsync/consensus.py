@@ -15,17 +15,21 @@ one Python generator, ``_graphs``. Taking its first graph starts a
 worker thread that draws the fading in blocks of B = max(1, 2**16 // K**2)
 draws, one call per (B, K, K) block, while the generator builds the
 block before it into B graphs with one ``build_graph`` call and yields
-them in turn. The block drawn last is never used, and the one in use is
-seldom used up, so closing the generator joins the worker and puts the
-random generator back at the state saved before the first draw not
-taken: the stream and every seeded output are those of drawing one at a
-time. No iteration allocates a K x K float array. ``run_sync`` closes
-the generator before it returns or raises.
+them in turn. One block is drawn ahead, or two when a block is one draw
+(K >= 182), so that there the worker runs ahead while a snapshot's end
+holds up the iteration. The blocks drawn ahead at the end are never
+used, and the one in use is seldom used up, so closing the generator
+joins the worker and puts the random generator back at the state saved
+before the first draw not taken: the stream and every seeded output are
+those of drawing one at a time. No iteration allocates a K x K float
+array, and the proposed update halves its step rather than its weights.
+``run_sync`` closes the generator before it returns or raises.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import queue
 import threading
 from collections.abc import Callable
@@ -61,7 +65,7 @@ class ClockState:
     memory: np.ndarray | None = None     # reciprocal weights of last snapshot
 
     def remember(self, adjacency: np.ndarray) -> None:
-        """Keep this snapshot's reciprocal weights (see proposed_weights),
+        """Keep this snapshot's reciprocal weights (see update_proposed),
         in place once there is a memory: the transpose of the weights,
         zeroed where they are zero, holds exactly the bidirectional pairs.
         """
@@ -121,15 +125,22 @@ class SyncTrace:
 def timing_sd(times: np.ndarray) -> float:
     """Sample standard deviation of the clock vector (divisor K-1)."""
     times = np.asarray(times, dtype=float)
-    if times.size < 2:
+    k = times.size
+    if k < 2:
         raise ConsensusError("timing_sd needs K >= 2")
-    return float(np.sqrt(((times - times.mean()) ** 2).sum() / (times.size - 1)))
+    # the bits of ndarray.mean and of squaring into a new array
+    deviation = times - np.add.reduce(times) / k
+    deviation *= deviation
+    return math.sqrt(np.add.reduce(deviation) / (k - 1))
+
+
+def _check_step(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ConsensusError("step size must lie in (0, 1)")
 
 
 def _apply_weights(times: np.ndarray, weights: np.ndarray,
                    eps: float) -> np.ndarray:
-    if not 0.0 < eps < 1.0:
-        raise ConsensusError("step size must lie in (0, 1)")
     # Jacobi-style: every node reads the frozen pre-update vector
     return times + eps * (weights @ times - weights.sum(axis=1) * times)
 
@@ -137,31 +148,27 @@ def _apply_weights(times: np.ndarray, weights: np.ndarray,
 def update_baseline(state: ClockState, adjacency: np.ndarray,
                     eps: float) -> np.ndarray:
     """RSSI-only update: t_k += eps * sum_j a_kj (t_j - t_k)."""
+    _check_step(eps)
     return _apply_weights(state.times, adjacency, eps)
-
-
-def proposed_weights(state: ClockState, adjacency: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Average of current weights with remembered reciprocal weights.
-
-    The memory term for pair (k, j) is the previous snapshot's a_jk,
-    usable only where j was both an outgoing and incoming neighbor of k
-    in that snapshot; elsewhere it contributes zero. No memory at all
-    degenerates to a half-step of the baseline rule. The weights go in
-    ``out``, a (K, K) float64 buffer, when it is given.
-    """
-    memory = 0.0 if state.memory is None else state.memory
-    weights = np.add(adjacency, memory, out=out)
-    weights *= 0.5
-    return weights
 
 
 def update_proposed(state: ClockState, adjacency: np.ndarray,
                     eps: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k);
-    the weights are formed in ``out`` (see proposed_weights)."""
-    weights = proposed_weights(state, adjacency, out)
-    return _apply_weights(state.times, weights, eps)
+    """Two-source update: t_k += eps * sum_j (a_kj + a_jk_prev)/2 (t_j - t_k).
+
+    The memory term for pair (k, j) is the previous snapshot's a_jk,
+    usable only where j was both an outgoing and incoming neighbor of k
+    in that snapshot; elsewhere it contributes zero. No memory at all
+    degenerates to a half-step of the baseline rule. The sum a + a_prev
+    is formed in ``out``, a (K, K) float64 buffer, when it is given, and
+    the halving goes into the step: scaling by a power of two is exact
+    unless a result is subnormal, so the bits are those of halving the
+    weights.
+    """
+    _check_step(eps)
+    memory = 0.0 if state.memory is None else state.memory
+    total = np.add(adjacency, memory, out=out)
+    return _apply_weights(state.times, total, 0.5 * eps)
 
 
 # Floats in one block of fading draws (0.5 MiB); a block holds at least
@@ -175,15 +182,19 @@ def _graphs(config: SimConfig, rng: np.random.Generator, gain: np.ndarray):
     Each graph is valid until the next is taken. Taking the first starts
     the worker. It saves ``rng``'s state, fills the block it is handed in
     one call, and replies with the state and None or the draw's error,
-    which is raised when the loop comes to that block. Touch ``rng``
-    nowhere until the generator is closed. Closing joins the worker and
-    puts ``rng`` at the state saved before the first draw not taken: the
-    next block's when the block in use is used up, else the block in
-    use's followed by a redraw of its used draws.
+    which is raised when the loop comes to that block. One block is in
+    flight while another is in use, or two when a block is one draw, so
+    that the worker can run ahead of a slow iteration. Touch ``rng``
+    nowhere until the generator is closed. Closing joins the worker,
+    after every block in flight is drawn, and puts ``rng`` at the state
+    saved before the first draw not taken: the first block in flight's
+    when the block in use is used up, else the block in use's followed
+    by a redraw of its used draws.
     """
     k = config.num_nodes
     shape = (max(1, BLOCK_FLOATS // (k * k)), k, k)
-    block, ahead = np.empty(shape), np.empty(shape)  # in use, next
+    block = np.empty(shape)
+    ahead = [np.empty(shape) for _ in range(1 + (shape[0] == 1))]  # in flight
     requests = queue.SimpleQueue()  # a buffer to fill, None to stop
     replies = queue.SimpleQueue()  # (saved state, None or error)
 
@@ -201,28 +212,30 @@ def _graphs(config: SimConfig, rng: np.random.Generator, gain: np.ndarray):
     saved, used = rng.bit_generator.state, 0
     worker = threading.Thread(target=draw_ahead, daemon=True)
     worker.start()
-    requests.put(ahead)
+    for buffer in ahead:
+        requests.put(buffer)
     try:
         while True:
             saved, error = replies.get()
             used = 0
             if error is not None:
                 raise error
-            block, ahead = ahead, block
-            requests.put(ahead)
+            ahead.append(block)
+            requests.put(block)
+            block = ahead.pop(0)
             build_graph(config.tx_power_w, gain, block,
                         config.power_threshold_w, out=block)
             for used, graph in enumerate(block, start=1):
                 yield graph
     finally:
-        requests.put(None)  # after any draw in flight
+        requests.put(None)  # after every draw in flight
         worker.join()
         if used == len(block):  # none of the next block taken
             saved, used = replies.get()[0], 0
         rng.bit_generator.state = saved
         if used:
             channel.sample_interference_gains(config, rng,
-                                              out=ahead[:used])
+                                              out=ahead[0][:used])
 
 
 def run_snapshot(state: ClockState, config: SimConfig,
@@ -231,8 +244,8 @@ def run_snapshot(state: ClockState, config: SimConfig,
     """One synchronization period: iterate until sd <= delta or budget ends.
 
     Each iteration calls ``next_graph`` for a (K, K) graph (see
-    ``graph.build_graph``) and applies ``update_proposed``, with the
-    weights in ``weights`` (a (K, K) float64 scratch array; None makes a
+    ``graph.build_graph``) and applies ``update_proposed``, with its
+    ``out`` in ``weights`` (a (K, K) float64 scratch array; None makes a
     fresh one).
 
     On exit, the weight memory is refreshed from the final graph and the
@@ -247,7 +260,7 @@ def run_snapshot(state: ClockState, config: SimConfig,
                                       out=weights)
         sd = timing_sd(state.times)
         sds.append(sd)
-        diverged = not np.isfinite(sd) or sd > DIVERGENCE_SD_S
+        diverged = not math.isfinite(sd) or sd > DIVERGENCE_SD_S
         if sd <= config.sd_tolerance or diverged:
             break
     iterations = config.max_iters if diverged else len(sds)
@@ -260,15 +273,19 @@ def run_snapshot(state: ClockState, config: SimConfig,
 
 
 def run_sync(config: SimConfig, topology: Topology,
-             rng: np.random.Generator) -> SyncTrace:
+             rng: np.random.Generator,
+             gain: np.ndarray | None = None) -> SyncTrace:
     """Run T_max snapshots and aggregate iteration counts.
 
     The weight memory starts from a graph drawn before the first
     snapshot, standing in for an initially synchronized exchange. The
-    path gain and the buffers are made once, here.
+    buffers are made once, here, and so is the path gain unless the
+    caller passes ``path_gain(topology, config.path_loss_exp)`` as
+    ``gain``.
     """
     state = init_clocks(config, rng)
-    gain = path_gain(topology, config.path_loss_exp)
+    if gain is None:
+        gain = path_gain(topology, config.path_loss_exp)
     weights = np.empty_like(gain)
     trace = SyncTrace(iter_period=config.iter_period)
     graphs = _graphs(config, rng, gain)

@@ -87,12 +87,12 @@ class ResultRow:
 def _replicate(config: SimConfig, rng: np.random.Generator) -> tuple:
     """One replication: (cf, n_avg, algorithmic_time, delay_noma, delay_oma)."""
     topology = place_nodes(config, rng)
-    gains = sample_interference_gains(config, rng)
-    adjacency = build_graph(config.tx_power_w,
-                            path_gain(topology, config.path_loss_exp), gains,
+    gain = path_gain(topology, config.path_loss_exp)
+    adjacency = build_graph(config.tx_power_w, gain,
+                            sample_interference_gains(config, rng),
                             config.power_threshold_w)
     cf = connectivity_factor(adjacency)
-    trace = run_sync(config, topology, rng)
+    trace = run_sync(config, topology, rng, gain)
     noma, oma = schedule_exchange(topology, config, rng)
     return (cf, trace.mean_iterations, trace.algorithmic_time,
             noma.exchange_delay_total, oma.exchange_delay_total)

@@ -460,7 +460,7 @@ def _partition_rounds(times: np.ndarray) -> list[np.ndarray]:
         matched_local = sorted(assignment.sb_to_triplet.values())
         matched = remaining[matched_local]
         rounds.append(matched)
-        remaining = np.setdiff1d(remaining, matched)
+        remaining = np.delete(remaining, matched_local)
     return rounds
 
 

@@ -109,6 +109,28 @@ def peak_traced_bytes(fn) -> int:
     return peak - base
 
 
+def proposed_weights(state, adjacency: np.ndarray) -> np.ndarray:
+    """The proposed rule's weights (a + a_prev) / 2, formed as first
+    written; ``consensus.update_proposed`` halves its step instead."""
+    memory = 0.0 if state.memory is None else state.memory
+    return 0.5 * (adjacency + memory)
+
+
+def update_proposed_reference(state, adjacency: np.ndarray,
+                              eps: float) -> np.ndarray:
+    """``consensus.update_proposed`` as first written, over the weights
+    of ``proposed_weights``."""
+    weights = proposed_weights(state, adjacency)
+    times = state.times
+    return times + eps * (weights @ times - weights.sum(axis=1) * times)
+
+
+def timing_sd_reference(times: np.ndarray) -> float:
+    """``consensus.timing_sd`` as first written."""
+    return float(np.sqrt(((times - times.mean()) ** 2).sum()
+                         / (times.size - 1)))
+
+
 def small_config(**overrides) -> SimConfig:
     base = dict(num_nodes=9, num_subbands=2, max_iters=200, max_snapshots=2,
                 noise_density_dbm_hz=-114.0)

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import (graph_from_powers, grid_topology, peak_traced_bytes,
-                      small_config)
+                      proposed_weights, small_config, timing_sd_reference,
+                      update_proposed_reference)
 from udnsync.channel import sample_interference_gains
 from udnsync.config import SimConfig
-from udnsync.consensus import (BLOCK_FLOATS, ClockState, ConsensusError,
-                               init_clocks, run_snapshot, run_sync,
-                               timing_sd, update_baseline, update_proposed)
+from udnsync.consensus import (BLOCK_FLOATS, DIVERGENCE_SD_S, ClockState,
+                               ConsensusError, init_clocks, run_snapshot,
+                               run_sync, timing_sd, update_baseline,
+                               update_proposed)
 from udnsync.graph import build_graph, path_gain
-from udnsync.harness import preset
+from udnsync.harness import _replicate, preset
 from udnsync.topology import place_nodes
 
 
@@ -99,7 +101,6 @@ def test_memory_gated_by_bidirectional_neighbors():
                                       [2.0, 2.0, 0.0]]), p0=2.0)
     state = ClockState(times=np.zeros(3), skews_ppm=np.zeros(3))
     state.remember(prev)
-    from udnsync.consensus import proposed_weights
     w = proposed_weights(state, cur)
     bidir = (prev > 0) & (prev > 0).T
     assert not bidir[0, 1]
@@ -324,6 +325,58 @@ def test_run_sync_puts_the_generator_back_at_every_block_edge(k, snapshots):
                 == _serial_draws(cfg, 7, 1 + snapshots * iters))
 
 
+# K = 200 makes a block one draw, which keeps two draws in flight
+ONE_DRAW_K = 200
+
+
+@pytest.mark.parametrize("ends,overrides", [
+    ("converged", dict(sd_tolerance=1.0)),
+    ("budget", dict(sd_tolerance=1e-15)),
+    ("diverged", dict(init_offset_max=1e5))],
+    ids=["converged", "budget", "diverged"])
+def test_run_sync_at_one_draw_a_block_leaves_the_generator_where_serial_draws_do(
+        monkeypatch, ends, overrides):
+    # the worker draws two past the last graph taken and nothing else,
+    # and the generator is put back before the first of those two
+    drawers = []
+
+    def recording(config, rng, out=None):
+        drawers.append(threading.current_thread())
+        return sample_interference_gains(config, rng, out=out)
+
+    monkeypatch.setattr("udnsync.channel.sample_interference_gains", recording)
+    k = ONE_DRAW_K
+    assert BLOCK_FLOATS // k ** 2 == 1
+    topo = grid_topology(k, rng=np.random.default_rng(2))
+    before = threading.enumerate()
+    for snapshots in (1, 2, 3):
+        for iters in (1, 2, 3, 4):
+            cfg = small_config(num_nodes=k, max_snapshots=snapshots,
+                               max_iters=iters, **overrides)
+            rng = np.random.default_rng(7)
+            drawers.clear()
+            trace = run_sync(cfg, topo, rng)
+            assert threading.enumerate() == before
+            run = [len(snap.sd_per_iteration) for snap in trace.snapshots]
+            finals = [snap.sd_per_iteration[-1] for snap in trace.snapshots]
+            assert len(run) == snapshots
+            if ends == "converged":
+                assert run == [1] * snapshots
+                assert all(snap.converged for snap in trace.snapshots)
+            elif ends == "budget":
+                assert run == [iters] * snapshots
+                assert not any(snap.converged for snap in trace.snapshots)
+            else:
+                assert run == [1] * snapshots
+                assert min(finals) > DIVERGENCE_SD_S
+                assert trace.iterations_used.tolist() == [iters] * snapshots
+            assert rng.bit_generator.state == _serial_draws(
+                cfg, 7, 1 + sum(run))
+            assert len(drawers) == 1 + sum(run) + 2
+            assert threading.current_thread() not in drawers
+            assert len(set(drawers)) == 1
+
+
 def _bounded(fn, timeout=60.0):
     """Run ``fn`` on a thread joined with a timeout, so a deadlock fails
     the test instead of hanging it; returns (value, exception)."""
@@ -413,6 +466,30 @@ def test_a_failed_draw_that_is_never_taken_is_not_raised(monkeypatch):
     assert rng.bit_generator.state == _serial_draws(cfg, 3, 16)
 
 
+@pytest.mark.parametrize("nth,drawn,put_back", [
+    (2, 3, 1), (4, 5, 3), (5, 5, 3)], ids=["taken", "next", "second-next"])
+def test_failed_draw_at_one_draw_a_block(monkeypatch, nth, drawn, put_back):
+    # one snapshot of two iterations takes 3 graphs, one draw each, with
+    # two draws in flight. The second draw fails while the third is in
+    # flight and is raised; the fourth or fifth fails unused. Every
+    # draw in flight completes on the worker before it is joined
+    calls = _failing_draw(monkeypatch, nth)
+    before = threading.enumerate()
+    cfg = small_config(num_nodes=ONE_DRAW_K, max_snapshots=1, max_iters=2,
+                       sd_tolerance=1e-15)
+    topo = grid_topology(ONE_DRAW_K, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    trace, error = _bounded(lambda: run_sync(cfg, topo, rng))
+    if nth == 2:
+        assert isinstance(error, RuntimeError) and str(error) == "draw 2"
+    else:
+        assert error is None
+        assert trace.iterations_used.tolist() == [2]
+    assert len(calls) == drawn and len(set(calls)) == 1
+    assert threading.enumerate() == before
+    assert rng.bit_generator.state == _serial_draws(cfg, 3, put_back)
+
+
 def test_main_thread_error_while_a_draw_is_in_flight(monkeypatch):
     # the third build (the third block's, for the 17th graph) fails while
     # the fourth block's draw is in flight: it completes, no draw follows
@@ -498,8 +575,48 @@ def test_buffered_update_equals_fresh_update(rng):
     assert np.array_equal(fresh.view(np.uint64), buffered.view(np.uint64))
 
 
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [60, 90, 250])
+def test_update_and_spread_equal_the_first_formulas_bit_for_bit(k):
+    # the update halves the step where the first form halved the weights,
+    # and the spread reduces and squares in place; neither moves a bit,
+    # with or without memory, over spreads up to the divergence cut
+    cfg = SimConfig(num_nodes=k)
+    rng = np.random.default_rng(k)
+    gain = path_gain(place_nodes(cfg, rng), cfg.path_loss_exp)
+
+    def graph():
+        return build_graph(cfg.tx_power_w, gain,
+                           sample_interference_gains(cfg, rng),
+                           cfg.power_threshold_w)
+
+    out = np.empty_like(gain)
+    for spread in (1e-9, 40e-6, 1.0, DIVERGENCE_SD_S):
+        for memory in (None, graph()):
+            state = ClockState(times=spread * rng.standard_normal(k),
+                               skews_ppm=np.zeros(k))
+            if memory is not None:
+                state.remember(memory)
+            for _ in range(3):
+                adjacency = graph()
+                want = update_proposed_reference(state, adjacency,
+                                                 cfg.step_size)
+                got = update_proposed(state, adjacency, cfg.step_size,
+                                      out=out)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+                assert np.array_equal(
+                    _bits(timing_sd(got)), _bits(timing_sd_reference(want)))
+                state.times = got
+
+
 @pytest.mark.parametrize("snapshots,iters", [(1, 1), (3, 40)])
 def test_run_sync_computes_path_gain_once(monkeypatch, snapshots, iters):
+    # once per run_sync, and once per replication, whose cf graph and
+    # run_sync share it
     calls = []
 
     def counting(*args):
@@ -508,11 +625,14 @@ def test_run_sync_computes_path_gain_once(monkeypatch, snapshots, iters):
 
     monkeypatch.setattr("udnsync.consensus.path_gain", counting)
     monkeypatch.setattr("udnsync.graph.path_gain", counting)
+    monkeypatch.setattr("udnsync.harness.path_gain", counting)
     cfg = small_config(num_nodes=16, max_snapshots=snapshots, max_iters=iters)
     topo = grid_topology(16, rng=np.random.default_rng(2))
     trace = run_sync(cfg, topo, np.random.default_rng(3))
     assert len(trace.snapshots) == snapshots
     assert len(calls) == 1
+    _replicate(cfg, np.random.default_rng(4))
+    assert len(calls) == 2
 
 
 GOLDEN_SYNC = Path(__file__).parent / "data" / "sync_fig6_full_seed6.csv"

@@ -952,6 +952,33 @@ def test_round_count_is_ceiling_of_ratio(rng):
     assert scheduled == list(range(7))      # each triplet exactly once
 
 
+def _partition_rounds_setdiff(times):
+    """``scheduler._partition_rounds`` as first written, with the matched
+    triplets removed by ``np.setdiff1d``."""
+    remaining = np.arange(times.shape[0])
+    rounds = []
+    while remaining.size:
+        assignment = stable_marriage(*build_preferences(times[remaining]))
+        matched = remaining[sorted(assignment.sb_to_triplet.values())]
+        rounds.append(matched)
+        remaining = np.setdiff1d(remaining, matched)
+    return rounds
+
+
+def test_partition_rounds_equal_the_setdiff_form():
+    # up to K=250's 83 triplets, on 2 to 10 sub-bands
+    rng = np.random.default_rng(29)
+    for num_t in range(1, 84):
+        for num_s in range(2, 11):
+            times = oma_times(random_links(rng, num_t, num_s))
+            rounds = scheduler._partition_rounds(times)
+            want = _partition_rounds_setdiff(times)
+            assert len(rounds) == len(want) == -(-num_t // num_s)
+            for got, expected in zip(rounds, want):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+
+
 def test_single_subband_serializes_all_triplets(rng):
     cfg, topo = schedule_setup(rng, 9, 1)
     noma, _ = schedule_exchange(topo, cfg, rng)
